@@ -7,10 +7,10 @@
 // degradation of long-tail requests, and a latency histogram plus
 // per-worker utilization for the tuned system.
 //
-// Fairness: every system is measured on the identical batch for a given
-// request size. Batches are pre-generated once per quantized size, seeded
-// from (model seed, size) alone, so no system's measurement order can
-// perturb another's inputs.
+// Fairness: every system is measured on identical batch contents for a given
+// quantized request size. Each batch is datasynth.BatchForSize, seeded from
+// (model seed, size) alone, so no system's measurement order can perturb
+// another's inputs.
 //
 // With -models the command switches to fleet mode: each listed model is
 // tuned independently and the merged multi-tenant trace is replayed over one
@@ -64,8 +64,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"os/signal"
+	"reflect"
 	"strconv"
 	"strings"
 	"syscall"
@@ -74,8 +74,8 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/datasynth"
-	"repro/internal/emcache"
 	"repro/internal/embedding"
+	"repro/internal/emcache"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/fusion"
@@ -87,18 +87,13 @@ import (
 )
 
 // sizeQuantum is the measurement grid: request sizes round up to this
-// multiple so the per-size batch table and service memo stay small.
+// multiple so the service memo stays small.
 const sizeQuantum = 32
 
 // splitCap is the serving split threshold (512 in the paper): requests
 // above it are unsplit long-tail batches eligible for the split-at-cap
 // degradation fallback.
 const splitCap = 512
-
-// quantize rounds a request size up to the measurement grid.
-func quantize(size int) int {
-	return (size + sizeQuantum - 1) / sizeQuantum * sizeQuantum
-}
 
 // options is the parsed flag set of one invocation.
 type options struct {
@@ -438,12 +433,8 @@ func run(args []string, w io.Writer) error {
 			len(reqs), o.qps, o.gpus, dev.Name, cfg.Name, len(features), o.tailProb*100)
 		return runDrift(w, rf, cfg, reqs, srvCfg, o.drift, o.driftAt, o.canary, o.margin)
 	}
-	batches, err := prebuildBatches(cfg, reqs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "serving %d requests at %.0f qps on %dx %s/%s (%d features, %.1f%% long tail, %d shared batches)\n\n",
-		len(reqs), o.qps, o.gpus, dev.Name, cfg.Name, len(features), o.tailProb*100, len(batches))
+	fmt.Fprintf(w, "serving %d requests at %.0f qps on %dx %s/%s (%d features, %.1f%% long tail)\n\n",
+		len(reqs), o.qps, o.gpus, dev.Name, cfg.Name, len(features), o.tailProb*100)
 	systems := append(baselines.All(), rf)
 	tbl := &report.Table{
 		Title:  "end-to-end request latency",
@@ -454,7 +445,9 @@ func run(args []string, w io.Writer) error {
 		if sys.Supports(features) != nil {
 			continue
 		}
-		srv, err := trace.NewServer(srvCfg, serviceFor(sys, dev, features, batches))
+		measure := func(b *embedding.Batch) (float64, error) { return sys.Measure(dev, features, b) }
+		svc := core.MeasuredService(measure, batchSource(cfg), sizeQuantum, nil)
+		srv, err := trace.NewServer(srvCfg, func(size int) (float64, error) { return svc(0, size) })
 		if err != nil {
 			return err
 		}
@@ -546,44 +539,11 @@ func tuneModel(cfg *datasynth.ModelConfig, dev *gpusim.Device, features []fusion
 	return rf, nil
 }
 
-// prebuildBatches generates the canonical batch for every quantized size the
-// trace — or its split-at-cap fallback — can ask a system to measure. Every
-// system shares this table, which is what makes the head-to-head latency
-// columns comparable.
-func prebuildBatches(cfg *datasynth.ModelConfig, reqs []trace.Request) (map[int]*embedding.Batch, error) {
-	sizes := make(map[int]bool)
-	for _, r := range reqs {
-		sizes[quantize(r.Size)] = true
-		if r.Size > splitCap {
-			// Split fallback dispatches capped chunks plus a remainder.
-			sizes[quantize(splitCap)] = true
-			if rem := r.Size % splitCap; rem > 0 {
-				sizes[quantize(rem)] = true
-			}
-		}
-	}
-	batches := make(map[int]*embedding.Batch, len(sizes))
-	for size := range sizes {
-		b, err := datasynth.BatchForSize(cfg, size)
-		if err != nil {
-			return nil, err
-		}
-		batches[size] = b
-	}
-	return batches, nil
-}
-
-// serviceFor adapts one system's Measure to the serving engine over the
-// shared per-size batch table, memoized and safe for the engine's worker
-// pool.
-func serviceFor(sys baselines.Baseline, dev *gpusim.Device, features []fusion.FeatureInfo, batches map[int]*embedding.Batch) trace.ServiceFunc {
-	return trace.MemoService(func(size int) (float64, error) {
-		b, ok := batches[quantize(size)]
-		if !ok {
-			return 0, fmt.Errorf("no pre-generated batch for size %d (quantized %d)", size, quantize(size))
-		}
-		return sys.Measure(dev, features, b)
-	})
+// batchSource serves the canonical batch of a size for cfg, whatever the
+// time: every system and every serving path measures the same contents for
+// the same quantized size.
+func batchSource(cfg *datasynth.ModelConfig) core.TimedBatchSource {
+	return func(_ float64, size int) (*embedding.Batch, error) { return datasynth.BatchForSize(cfg, size) }
 }
 
 // runDrift replays a drifting trace through the continuous serving loop:
@@ -842,13 +802,10 @@ func buildFleetSetup(o *options) (*fleetSetup, error) {
 		if len(names) > 1 {
 			label = fmt.Sprintf("%s/%d", name, i)
 		}
-		c := cfg
 		fm := core.FleetModel{
-			Name: label,
-			Rec:  rf,
-			Source: func(_ float64, size int) (*embedding.Batch, error) {
-				return datasynth.BatchForSize(c, size)
-			},
+			Name:       label,
+			Rec:        rf,
+			Source:     batchSource(cfg),
 			Opts:       core.ContinuousOptions{Quantum: sizeQuantum},
 			Frozen:     true,
 			ClassScale: classScale,
@@ -932,7 +889,7 @@ const classProbeSize = 256
 // ratios are pure functions of the model config and class list, so a session
 // replay rebuilds identical scales.
 func probeClassScales(cfg *datasynth.ModelConfig, features []fusion.FeatureInfo, base *core.RecFlex, classes []string) ([]float64, error) {
-	src := func(_ float64, size int) (*embedding.Batch, error) { return datasynth.BatchForSize(cfg, size) }
+	src := batchSource(cfg)
 	ref, err := base.TimedService(src, sizeQuantum, nil)(0, classProbeSize)
 	if err != nil {
 		return nil, err

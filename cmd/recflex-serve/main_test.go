@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datasynth"
 	"repro/internal/embedding"
 	"repro/internal/fleet"
@@ -37,9 +38,10 @@ func (r *recordingSystem) Measure(_ *gpusim.Device, _ []fusion.FeatureInfo, b *e
 	return float64(size) * 1e-6, nil
 }
 
-// Regression test for the shared-rng fairness bug: two systems' service
-// functions must observe the *same* pre-generated batch for the same
-// request size, regardless of measurement order.
+// Regression test for the shared-rng fairness bug: two systems served the
+// same trace, each through its own service memo, must measure batches with
+// identical contents for every quantized size, regardless of measurement
+// order. Split-at-cap chunks of long-tail requests are measured too.
 func TestSystemsObserveIdenticalBatches(t *testing.T) {
 	cfg := datasynth.Scaled(datasynth.ModelA(), 50)
 	reqs, err := trace.Generate(60, trace.GeneratorConfig{
@@ -49,67 +51,57 @@ func TestSystemsObserveIdenticalBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches, err := prebuildBatches(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reqs {
-		if _, ok := batches[quantize(r.Size)]; !ok {
-			t.Fatalf("no batch for request size %d", r.Size)
-		}
-	}
-
 	dev := gpusim.V100()
 	a := &recordingSystem{name: "A", seen: make(map[int]*embedding.Batch)}
 	b := &recordingSystem{name: "B", seen: make(map[int]*embedding.Batch)}
 	for _, sys := range []*recordingSystem{a, b} {
-		if _, err := trace.Serve(reqs, serviceFor(sys, dev, nil, batches)); err != nil {
+		measure := func(batch *embedding.Batch) (float64, error) { return sys.Measure(dev, nil, batch) }
+		svc := core.MeasuredService(measure, batchSource(cfg), sizeQuantum, nil)
+		srv, err := trace.NewServer(trace.ServerConfig{
+			Workers: 2, Deadline: 1e-6, SplitCap: splitCap, Policy: trace.DegradeSplitTail,
+		}, func(size int) (float64, error) { return svc(0, size) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Serve(reqs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(a.seen) == 0 || len(a.seen) != len(b.seen) {
 		t.Fatalf("systems saw %d and %d sizes", len(a.seen), len(b.seen))
 	}
+	if _, ok := a.seen[splitCap]; !ok {
+		t.Errorf("split-at-cap chunk size %d never measured", splitCap)
+	}
 	for size, ba := range a.seen {
+		if size%sizeQuantum != 0 {
+			t.Errorf("measured unquantized size %d", size)
+		}
 		bb, ok := b.seen[size]
 		if !ok {
 			t.Fatalf("system B never measured size %d", size)
 		}
-		if ba != bb {
-			t.Errorf("size %d: systems measured different batch instances", size)
-		}
-	}
-
-	// The table itself is deterministic: rebuilding it yields batches with
-	// identical contents (not merely identical pointers within one run).
-	again, err := prebuildBatches(cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != len(batches) {
-		t.Fatalf("rebuild produced %d sizes, want %d", len(again), len(batches))
-	}
-	for size, b1 := range batches {
-		b2 := again[size]
-		if b2 == nil || !reflect.DeepEqual(b1.Features[0], b2.Features[0]) {
-			t.Errorf("size %d: rebuilt batch differs", size)
+		if !reflect.DeepEqual(ba, bb) {
+			t.Errorf("size %d: systems measured different batch contents", size)
 		}
 	}
 }
 
-// The split-at-cap fallback can only dispatch sizes that exist in the
-// shared batch table.
-func TestPrebuildCoversSplitChunks(t *testing.T) {
-	cfg := datasynth.Scaled(datasynth.ModelA(), 50)
-	reqs := []trace.Request{{Arrival: 0, Size: datasynth.LongTailRequest}}
-	batches, err := prebuildBatches(cfg, reqs)
+// Single-system mode serves long-tail requests under split-tail: the
+// deadline (9us) sits between the small-request sojourn and the long-tail
+// service time at scale 400, so tail requests split into capped chunks.
+func TestRunSingleSystemSplitsLongTail(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{
+		"-scale", "400", "-requests", "30", "-qps", "2000", "-gpus", "2", "-queue", "32",
+		"-degrade", "split-tail", "-tail", "0.25", "-deadline", "0.009",
+	}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{quantize(datasynth.LongTailRequest), quantize(splitCap)} {
-		if _, ok := batches[size]; !ok {
-			t.Errorf("batch table missing size %d", size)
-		}
+	m := regexp.MustCompile(`RecFlex serving detail: served=\d+ split=(\d+)`).FindStringSubmatch(out.String())
+	if m == nil || m[1] == "0" {
+		t.Fatalf("no long-tail request was split in single-system mode:\n%s", out.String())
 	}
 }
 

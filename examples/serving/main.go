@@ -125,7 +125,7 @@ func main() {
 		log.Fatal(err)
 	}
 	rep, err := rf.ServeTrace(reqs,
-		func(size int) (*embedding.Batch, error) { return datasynth.BatchForSize(cfg, size) },
+		func(_ float64, size int) (*embedding.Batch, error) { return datasynth.BatchForSize(cfg, size) },
 		64, trace.ServerConfig{
 			Workers:    2,
 			QueueDepth: 32,

@@ -9,37 +9,6 @@ import (
 	"repro/internal/tuner"
 )
 
-// TimedBatchSource supplies the input batch for a request of the given size
-// arriving at virtual time t. Drifting workloads back it with
-// datasynth.DriftSchedule.BatchForSize, so the batch a size maps to changes
-// at the drift steps; time-invariant callers can ignore t.
-type TimedBatchSource func(t float64, size int) (*embedding.Batch, error)
-
-// TimedService returns a concurrency-safe trace.TimedServiceFunc measuring
-// the tuned fused kernel on batches from src, quantizing request sizes up to
-// a multiple of quantum (0 or 1 disables quantization) and memoizing per
-// (drift phase, quantized size). phaseOf collapses virtual time onto the
-// workload's drift phases (datasynth.DriftSchedule.PhaseStart); nil means
-// the workload is time-invariant.
-//
-// The returned function binds this instance's schedule set at call time
-// through r.Measure — but a continuous serving loop must bind it per
-// generation: each generation's service is built from its own (immutable
-// after tuning) instance, so in-flight requests keep their schedules across
-// a hot-swap.
-func (r *RecFlex) TimedService(src TimedBatchSource, quantum int, phaseOf func(float64) float64) trace.TimedServiceFunc {
-	return trace.MemoTimedService(func(t float64, size int) (float64, error) {
-		if quantum > 1 {
-			size = (size + quantum - 1) / quantum * quantum
-		}
-		b, err := src(t, size)
-		if err != nil {
-			return 0, fmt.Errorf("core: batch for size %d at t=%g: %w", size, t, err)
-		}
-		return r.Measure(r.dev, r.model.Features, b)
-	}, phaseOf)
-}
-
 // ContinuousOptions shapes RecFlex.ServeContinuous.
 type ContinuousOptions struct {
 	// Supervisor shapes the continuous serving loop: the engine, window,
@@ -50,7 +19,7 @@ type ContinuousOptions struct {
 	// outgoing generation is rolled back and the instance that was live
 	// before the swap stays authoritative.
 	Supervisor trace.SupervisorConfig
-	// Quantum quantizes request sizes for measurement (see TimedService).
+	// Quantum quantizes request sizes for measurement (see MeasuredService).
 	Quantum int
 	// PhaseOf collapses virtual time onto drift phases for measurement
 	// memoization; nil means time-invariant.
@@ -83,8 +52,8 @@ func (o *ContinuousOptions) retuneBatchCap() int {
 
 // windowBatches materializes the batches behind a supervisor window:
 // deduplicated by (drift phase, quantized size), newest first, capped at
-// limit (0 = no cap). Deduplication matters because TimedService memoizes on
-// exactly that key — distinct keys are the distinct batches the window saw.
+// limit (0 = no cap). Deduplication matters because MeasuredService memoizes
+// on exactly that key — distinct keys are the distinct batches the window saw.
 func (o *ContinuousOptions) windowBatches(src TimedBatchSource, win []trace.WindowEntry, limit int) ([]*embedding.Batch, error) {
 	type key struct {
 		phase float64
@@ -93,10 +62,7 @@ func (o *ContinuousOptions) windowBatches(src TimedBatchSource, win []trace.Wind
 	seen := make(map[key]bool)
 	var out []*embedding.Batch
 	for i := len(win) - 1; i >= 0; i-- {
-		size := win[i].Size
-		if o.Quantum > 1 {
-			size = (size + o.Quantum - 1) / o.Quantum * o.Quantum
-		}
+		size := quantize(win[i].Size, o.Quantum)
 		k := key{size: size}
 		if o.PhaseOf != nil {
 			k.phase = o.PhaseOf(win[i].Time)

@@ -130,13 +130,3 @@ func SaveDataset(path string, ds *Dataset) error {
 	}
 	return f.Close()
 }
-
-// LoadDataset reads a dataset from path.
-func LoadDataset(path string, cfg *ModelConfig) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadDataset(f, cfg)
-}

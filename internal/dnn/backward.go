@@ -17,12 +17,6 @@ type LinearGrads struct {
 	B []float32 // Out
 }
 
-// ForwardCache runs the layer and returns its output, which Backward needs
-// for the ReLU mask.
-func (l *Linear) ForwardCache(x []float32, batch int) ([]float32, error) {
-	return l.Forward(x, batch)
-}
-
 // Backward computes the layer gradients: x is the layer input (batch*In), y
 // its forward output (batch*Out, used for the ReLU mask), dy the upstream
 // gradient (batch*Out). Returns the gradient w.r.t. x plus parameter grads.

@@ -197,41 +197,3 @@ func (s *Suite) PrintOverhead(w io.Writer) error {
 		res.DataLoad, res.HostAnalysis, res.RatioPct, res.FullCompile)
 	return err
 }
-
-// RunAll executes every experiment and prints the full report.
-func (s *Suite) RunAll(w io.Writer) error {
-	if err := PrintTable1(w); err != nil {
-		return err
-	}
-	if err := s.PrintFig2(w); err != nil {
-		return err
-	}
-	if err := PrintFig3(w); err != nil {
-		return err
-	}
-	if err := s.PrintFig9(w); err != nil {
-		return err
-	}
-	if err := s.PrintFig10(w); err != nil {
-		return err
-	}
-	if err := s.PrintTable2(w); err != nil {
-		return err
-	}
-	if err := s.PrintFig11(w); err != nil {
-		return err
-	}
-	if err := s.PrintFig12(w); err != nil {
-		return err
-	}
-	if err := s.PrintFig13(w); err != nil {
-		return err
-	}
-	if err := s.PrintScalability(w); err != nil {
-		return err
-	}
-	if err := s.PrintMLPerf(w); err != nil {
-		return err
-	}
-	return s.PrintOverhead(w)
-}

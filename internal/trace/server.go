@@ -77,10 +77,6 @@ type ServerConfig struct {
 	// long-tail batch and may be split by DegradeSplitTail; 0 disables
 	// splitting and tail special-casing (every request is then "normal").
 	SplitCap int
-	// HistMin, HistMax, HistBuckets shape the latency histogram; zero
-	// values default to 1us..10s across 28 log-spaced buckets.
-	HistMin, HistMax float64
-	HistBuckets      int
 }
 
 // Queue returns the configuration's queue-policy view — the fields shared
@@ -95,50 +91,17 @@ func (c *ServerConfig) Queue() QueuePolicy {
 	}
 }
 
-// Validate checks the server configuration. The histogram shape is checked
-// after default resolution — the same resolution histogram() applies — so a
-// shape that only turns invalid once defaults kick in (HistMin=20 with
-// HistMax=0, which defaults to 10) fails here, at configuration time, instead
-// of panicking inside NewHistogram mid-Serve.
+// Validate checks the server configuration: exactly the shared queue
+// policy's checks.
 func (c *ServerConfig) Validate() error {
 	q := c.Queue()
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	if c.HistMin < 0 || c.HistMax < 0 || c.HistBuckets < 0 {
-		return fmt.Errorf("trace: histogram shape must be non-negative")
-	}
-	if min, max, _ := c.histShape(); max <= min {
-		return fmt.Errorf("trace: HistMax %g must exceed HistMin %g after defaults (HistMin=1e-6, HistMax=10)", max, min)
-	}
-	return nil
-}
-
-// histShape resolves the configured histogram shape with zero-value defaults
-// applied: 1us..10s across 28 log-spaced buckets.
-func (c *ServerConfig) histShape() (min, max float64, n int) {
-	min, max, n = c.HistMin, c.HistMax, c.HistBuckets
-	if min == 0 {
-		min = 1e-6
-	}
-	if max == 0 {
-		max = 10
-	}
-	if n == 0 {
-		n = 28
-	}
-	return min, max, n
+	return q.Validate()
 }
 
 // workers returns the effective GPU count.
 func (c *ServerConfig) workers() int {
 	q := c.Queue()
 	return q.EffectiveWorkers()
-}
-
-// histogram builds the configured latency histogram.
-func (c *ServerConfig) histogram() *Histogram {
-	return NewHistogram(c.histShape())
 }
 
 // Report is the outcome of one trace served by the engine: the classic
@@ -168,15 +131,15 @@ type Report struct {
 // one. Service times are resolved by k worker goroutines draining a bounded
 // admission channel in arrival order — this is where the expensive fused
 // kernel simulations run, genuinely in parallel, which is why the service
-// function must be safe for concurrent use (MemoService is). Queueing,
-// routing, deadlines and shedding are then replayed on a virtual clock, so
-// reported latencies are exact and reproducible rather than subject to host
-// scheduling jitter: the same trace always yields the same Report, and with
-// one worker, no deadline and no queue bound it reproduces the closed-form
-// Serve sojourn-for-sojourn.
+// function must be safe for concurrent use (a MemoTimedService-backed one
+// is). Queueing, routing, deadlines and shedding are then replayed on a
+// virtual clock, so reported latencies are exact and reproducible rather
+// than subject to host scheduling jitter: the same trace always yields the
+// same Report, and with one worker, no deadline and no queue bound it
+// reproduces the closed-form Serve sojourn-for-sojourn.
 //
 // The service function must be size-deterministic (same size, same time);
-// wrap expensive measurements in MemoService.
+// back expensive measurements with MemoTimedService.
 type Server struct {
 	cfg     ServerConfig
 	service ServiceFunc
@@ -486,7 +449,7 @@ func (st *replayState) Occupy(now, dur float64) (worker int, start, end float64)
 func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveFunc, admit admitHook, onFinish finishHook) (*Report, error) {
 	k := cfg.workers()
 	n := len(sorted)
-	met := &Metrics{Latency: cfg.histogram()}
+	met := &Metrics{Latency: NewLatencyHistogram()}
 	sc := replayPool.Get().(*replayScratch)
 	sc.grab(k)
 	queue := sc.queue

@@ -25,8 +25,11 @@ func Untimed(inner ServiceFunc) TimedServiceFunc {
 // time of the piecewise-constant drift step in effect at t — so one
 // expensive kernel measurement per (phase, size) serves the whole trace.
 // nil phaseOf means the workload is time-invariant and t is ignored.
-// Same singleflight semantics as MemoService: safe for concurrent use, the
-// inner measurement runs at most once per key, errors are memoized.
+// Safe for concurrent use and a singleflight: the inner measurement runs at
+// most once per key, concurrent callers of that key block on its
+// completion, distinct keys measure in parallel, and errors are memoized
+// alongside successes — a failing kernel simulation is deterministic here,
+// so retrying it would only repeat the failure.
 func MemoTimedService(inner TimedServiceFunc, phaseOf func(t float64) float64) TimedServiceFunc {
 	type key struct {
 		phase float64

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 )
 
 // Request is one inference request in the stream.
@@ -267,33 +266,4 @@ func ServeMultiGPU(reqs []Request, k int, service ServiceFunc) (*Result, error) 
 		res.Utilization = busy / (span * float64(k))
 	}
 	return res, nil
-}
-
-// MemoService caches service times by batch size, so repeated sizes in a
-// trace do not re-run the (expensive) kernel simulation. The returned
-// ServiceFunc is safe for concurrent use from the Server's worker pool:
-// lookups are guarded by a mutex and each size's inner simulation runs at
-// most once (singleflight), with concurrent callers for that size blocking
-// on its completion. Distinct sizes simulate in parallel. Errors are
-// memoized alongside successes — a failing kernel simulation is
-// deterministic here, so retrying it would only repeat the failure.
-func MemoService(inner ServiceFunc) ServiceFunc {
-	type entry struct {
-		once sync.Once
-		s    float64
-		err  error
-	}
-	var mu sync.Mutex
-	memo := make(map[int]*entry)
-	return func(size int) (float64, error) {
-		mu.Lock()
-		e := memo[size]
-		if e == nil {
-			e = &entry{}
-			memo[size] = e
-		}
-		mu.Unlock()
-		e.once.Do(func() { e.s, e.err = inner(size) })
-		return e.s, e.err
-	}
 }

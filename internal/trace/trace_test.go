@@ -4,12 +4,8 @@
 package trace_test
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -251,107 +247,6 @@ func TestServeMultiGPUScalesDown(t *testing.T) {
 	}
 }
 
-func TestMemoService(t *testing.T) {
-	calls := 0
-	svc := trace.MemoService(func(size int) (float64, error) {
-		calls++
-		return float64(size), nil
-	})
-	for i := 0; i < 5; i++ {
-		if s, _ := svc(128); s != 128 {
-			t.Fatal("memo returned wrong value")
-		}
-	}
-	if _, err := svc(256); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Errorf("inner called %d times, want 2", calls)
-	}
-}
-
-// MemoService must be safe for concurrent use (the concurrent server's
-// worker pool shares one memo) and must run the inner simulation at most
-// once per size even under contention. Run with -race.
-func TestMemoServiceConcurrent(t *testing.T) {
-	var calls [8]int64
-	svc := trace.MemoService(func(size int) (float64, error) {
-		atomic.AddInt64(&calls[size], 1)
-		return float64(size) * 3, nil
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				size := (g + i) % len(calls)
-				s, err := svc(size)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if s != float64(size)*3 {
-					t.Errorf("size %d: got %g", size, s)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for size, c := range calls {
-		if c != 1 {
-			t.Errorf("inner called %d times for size %d, want 1 (singleflight)", c, size)
-		}
-	}
-}
-
-// MemoService is a singleflight for failures too: when the underlying
-// simulation errors, concurrent callers of the same size all receive that
-// one memoized error and the inner function still runs exactly once — a
-// failing size must not be retried by every engine worker in turn. Run with
-// -race.
-func TestMemoServiceErrorSingleflight(t *testing.T) {
-	wantErr := fmt.Errorf("simulator exploded")
-	var calls int64
-	gate := make(chan struct{})
-	svc := trace.MemoService(func(size int) (float64, error) {
-		atomic.AddInt64(&calls, 1)
-		<-gate // hold every contender at the decision point
-		if size == 13 {
-			return 0, wantErr
-		}
-		return float64(size), nil
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 24; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			size := 13
-			if g%3 == 0 {
-				size = 64
-			}
-			s, err := svc(size)
-			if size == 13 {
-				if !errors.Is(err, wantErr) {
-					t.Errorf("size 13: got (%g, %v), want the memoized error", s, err)
-				}
-			} else if err != nil || s != 64 {
-				t.Errorf("size 64: got (%g, %v)", s, err)
-			}
-		}(g)
-	}
-	close(gate)
-	wg.Wait()
-	if calls != 2 {
-		t.Errorf("inner ran %d times, want 2 (one per size, errors included)", calls)
-	}
-	if _, err := svc(13); !errors.Is(err, wantErr) {
-		t.Error("error not memoized on a later sequential call")
-	}
-}
-
 // Integration: serve a trace through a tuned RecFlex instance; long-tail
 // requests must dominate the p99 while p50 stays near the typical service
 // time.
@@ -372,16 +267,12 @@ func TestServeTunedSystem(t *testing.T) {
 	if err := rf.Tune(hist, tuner.Options{Occupancies: []int{2, 4, 8}, Parallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
-	service := trace.MemoService(func(size int) (float64, error) {
-		// Quantize sizes so the memo keeps the test fast; the queueing
-		// behaviour under test is unaffected.
-		size = (size + 63) / 64 * 64
-		b, err := datasynth.BatchForSize(mcfg, size)
-		if err != nil {
-			return 0, err
-		}
-		return rf.Measure(dev, features, b)
-	})
+	// Quantize sizes to 64 so the memo keeps the test fast; the queueing
+	// behaviour under test is unaffected.
+	svc := rf.TimedService(func(_ float64, size int) (*embedding.Batch, error) {
+		return datasynth.BatchForSize(mcfg, size)
+	}, 64, nil)
+	service := func(size int) (float64, error) { return svc(0, size) }
 	reqs, err := trace.Generate(120, trace.GeneratorConfig{QPS: 2000, MaxBatch: 512, TailProb: 0.03, TailSize: 2560, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
