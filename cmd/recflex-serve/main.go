@@ -431,7 +431,7 @@ func run(args []string, w io.Writer) error {
 	if o.drift > 0 {
 		fmt.Fprintf(w, "continuous serving: %d requests at %.0f qps on %dx %s/%s (%d features, %.1f%% long tail)\n",
 			len(reqs), o.qps, o.gpus, dev.Name, cfg.Name, len(features), o.tailProb*100)
-		return runDrift(w, rf, cfg, reqs, srvCfg, o.drift, o.driftAt, o.canary, o.margin)
+		return runDrift(w, rf, cfg, reqs, srvCfg.Queue(), o.drift, o.driftAt, o.canary, o.margin)
 	}
 	fmt.Fprintf(w, "serving %d requests at %.0f qps on %dx %s/%s (%d features, %.1f%% long tail)\n\n",
 		len(reqs), o.qps, o.gpus, dev.Name, cfg.Name, len(features), o.tailProb*100)
@@ -546,13 +546,14 @@ func batchSource(cfg *datasynth.ModelConfig) core.TimedBatchSource {
 	return func(_ float64, size int) (*embedding.Batch, error) { return datasynth.BatchForSize(cfg, size) }
 }
 
-// runDrift replays a drifting trace through the continuous serving loop:
-// pooling factors scale by factor a fraction frac into the trace, the
-// supervisor detects the shift online, re-tunes in the background on one of
-// the simulated-GPU worker slots and hot-swaps the fresh schedule set —
-// admission never pauses. The same trace replayed with the schedules frozen
-// gives the stale baseline the post-swap latency split is measured against.
-func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []trace.Request, srvCfg trace.ServerConfig, factor, frac float64, canary int, margin float64) error {
+// runDrift replays a drifting trace through the continuous serving loop on a
+// one-model pool shaped by q: pooling factors scale by factor a fraction
+// frac into the trace, the supervisor detects the shift online, re-tunes in
+// the background on one of the simulated-GPU worker slots and hot-swaps the
+// fresh schedule set — admission never pauses. The same trace replayed with
+// the schedules frozen gives the stale baseline the post-swap latency split
+// is measured against.
+func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []trace.Request, q trace.QueuePolicy, factor, frac float64, canary int, margin float64) error {
 	if frac < 0 || frac >= 1 {
 		return fmt.Errorf("drift-at %g outside [0,1)", frac)
 	}
@@ -565,7 +566,7 @@ func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []
 	}
 	opts := core.ContinuousOptions{
 		Supervisor: trace.SupervisorConfig{
-			Server: srvCfg, Window: 32, CheckEvery: 16,
+			Window: 32, CheckEvery: 16,
 			CanaryWindow: canary, RollbackMargin: margin,
 		},
 		Quantum: sizeQuantum,
@@ -578,15 +579,16 @@ func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []
 	fmt.Fprintln(w)
 
 	live := rf.Clone()
-	rep, err := live.ServeContinuous(reqs, src, opts)
+	pr, err := live.ServeContinuous(reqs, src, q, opts)
 	if err != nil {
 		return err
 	}
-	stale, err := rf.ServeFrozen(reqs, src, opts)
+	spr, err := rf.ServeFrozen(reqs, src, q, opts)
 	if err != nil {
 		return err
 	}
 
+	rep, stale := pr.ModelReports[0], spr.ModelReports[0]
 	m := rep.Metrics
 	if err := errIfNoneAdmitted(m.Served, len(reqs)); err != nil {
 		return err
@@ -620,7 +622,7 @@ func runDrift(w io.Writer, rf *core.RecFlex, cfg *datasynth.ModelConfig, reqs []
 		n, report.FmtUS(staleMean), report.FmtUS(freshMean), report.FmtRatio(staleMean/freshMean))
 	fmt.Fprintf(w, "continuous p50 %s p99 %s | frozen p50 %s p99 %s\n",
 		report.FmtUS(rep.P50), report.FmtUS(rep.P99), report.FmtUS(stale.P50), report.FmtUS(stale.P99))
-	fmt.Fprintf(w, "serving detail: %s\n", m)
+	fmt.Fprintf(w, "serving detail: %s\n", pr.Metrics)
 	return nil
 }
 

@@ -26,6 +26,7 @@ import (
 	"repro/internal/datasynth"
 	"repro/internal/embedding"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/gpusim"
 	"repro/internal/trace"
 	"repro/internal/tuner"
@@ -67,9 +68,9 @@ func main() {
 	fmt.Printf("replaying %d requests on 2 GPUs; pooling factors x4 from t=%.1fms\n\n",
 		len(reqs), drift.Steps[0].At*1e3)
 
+	q := trace.QueuePolicy{Workers: 2}
 	opts := core.ContinuousOptions{
 		Supervisor: trace.SupervisorConfig{
-			Server:     trace.ServerConfig{Workers: 2},
 			Window:     16,
 			CheckEvery: 8,
 			MaxRetunes: 1,
@@ -81,10 +82,11 @@ func main() {
 
 	// The continuous loop: detect, background-tune, hot-swap.
 	live := rf.Clone()
-	rep, err := live.ServeContinuous(reqs, src, opts)
+	pr, err := live.ServeContinuous(reqs, src, q, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := pr.ModelReports[0]
 	for _, s := range rep.Metrics.Swaps {
 		fmt.Printf("generation %d: drift detected t=%.1fms -> background tune on gpu%d (%.0fms busy) -> hot-swap t=%.1fms\n",
 			s.Generation, s.Detected*1e3, s.Worker, s.TuneDuration*1e3, s.Swapped*1e3)
@@ -95,10 +97,11 @@ func main() {
 	}
 
 	// The counterfactual: the same trace with the schedules frozen.
-	stale, err := rf.ServeFrozen(reqs, src, opts)
+	spr, err := rf.ServeFrozen(reqs, src, q, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	stale := spr.ModelReports[0]
 	freshMean, staleMean, n := core.PostSwapSplit(rep, stale)
 	if n == 0 {
 		fmt.Println("swap landed after the last request; nothing to compare")
@@ -117,9 +120,14 @@ func main() {
 		}
 	}
 	fmt.Printf("generation stamps: %d requests on generation 0, %d on generation 1\n", gen0, gen1)
+	pm := pr.Metrics
+	var busy float64
+	for _, w := range pm.Workers {
+		busy += w.Busy
+	}
 	fmt.Printf("tune occupied a worker for %.0fms of the %.0fms makespan (serving utilization %.1f%%)\n",
-		rep.Metrics.TuneBusy*1e3, rep.Metrics.Makespan*1e3, rep.Utilization*100)
-	fmt.Printf("counters: %s\n", rep.Metrics)
+		rep.Metrics.TuneBusy*1e3, pm.Makespan*1e3, busy/(pm.Makespan*float64(len(pm.Workers)))*100)
+	fmt.Printf("counters: %s\n", pm)
 
 	// Act two: the guarded promotion. The same trace, but this re-tune is
 	// deliberately poisoned — it installs a service 3x slower than the live
@@ -149,10 +157,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	grep, err := guard.Run(reqs)
+	pool, err := fleet.NewPool(fleet.Config{Queue: q, Admission: fleet.FIFO{}},
+		[]fleet.Model{{Name: "C", Supervisor: guard}}, []fleet.TenantSpec{{Name: "all"}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	gpr, err := pool.Serve(fleet.Merge(fleet.Stream{Reqs: reqs}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	grep := gpr.ModelReports[0]
 	for i, s := range grep.Metrics.Swaps {
 		if s.Rollback {
 			promo := grep.Metrics.Swaps[i-1]

@@ -5,14 +5,15 @@ import (
 	"math"
 
 	"repro/internal/embedding"
+	"repro/internal/fleet"
 	"repro/internal/trace"
 	"repro/internal/tuner"
 )
 
 // ContinuousOptions shapes RecFlex.ServeContinuous.
 type ContinuousOptions struct {
-	// Supervisor shapes the continuous serving loop: the engine, window,
-	// check cadence, tune duration, cooldown — and the canary guard
+	// Supervisor shapes the drift control: window, check cadence, tune
+	// duration, cooldown — and the canary guard
 	// (CanaryWindow / CanaryDuration for the window length, RollbackMargin
 	// for the tolerated degradation). With the guard enabled every hot-swap
 	// is a revocable promotion: a re-tune the canary measures worse than the
@@ -86,24 +87,13 @@ func (o *ContinuousOptions) windowBatches(src TimedBatchSource, win []trace.Wind
 	return out, nil
 }
 
-// ServeFrozen replays the same continuous loop with drift control disabled:
+// ServeFrozen replays the same serving loop with drift control disabled:
 // every request is served by this instance's current schedule set, whatever
 // the workload does. It is the stale-schedule baseline a ServeContinuous run
 // is compared against — same engine, same trace, same virtual clock, only
 // the schedules differ.
-func (r *RecFlex) ServeFrozen(reqs []trace.Request, src TimedBatchSource, opts ContinuousOptions) (*trace.Report, error) {
-	if r.Tuned() == nil {
-		return nil, errNotTuned
-	}
-	never := func([]trace.WindowEntry) (bool, error) { return false, nil }
-	frozen := func(int, []trace.WindowEntry) (trace.TimedServiceFunc, error) {
-		return nil, fmt.Errorf("core: frozen serving loop must not re-tune")
-	}
-	sv, err := trace.NewSupervisor(opts.Supervisor, r.TimedService(src, opts.Quantum, opts.PhaseOf), never, frozen)
-	if err != nil {
-		return nil, err
-	}
-	return sv.Run(reqs)
+func (r *RecFlex) ServeFrozen(reqs []trace.Request, src TimedBatchSource, q trace.QueuePolicy, opts ContinuousOptions) (*fleet.Report, error) {
+	return serveOne(q, FleetModel{Name: "model", Rec: r, Source: src, Opts: opts, Frozen: true}, reqs)
 }
 
 // PostSwapSplit compares a supervised run against its frozen baseline on the
@@ -130,11 +120,12 @@ func PostSwapSplit(fresh, stale *trace.Report) (freshMean, staleMean float64, n 
 }
 
 // ServeContinuous runs the full continuous serving loop on this instance:
-// the request stream is replayed through a trace.Supervisor whose drift
-// detector is ShouldRetune over the sliding window's batches and whose
-// retuner runs the two-stage schedule search on the recent window, compiling
-// a fresh schedule set that the supervisor hot-swaps into the loop while
-// serving continues on the remaining workers. Each generation is an
+// the request stream is replayed through a one-model pool (q shapes its
+// workers, queue bound, deadlines and degradation) whose drift control is a
+// trace.Supervisor — the detector is ShouldRetune over the sliding window's
+// batches, and the retuner runs the two-stage schedule search on the recent
+// window, compiling a fresh schedule set that is hot-swapped into the loop
+// while serving continues on the remaining workers. Each generation is an
 // independent immutable instance, so in-flight requests finish on the
 // schedules they were admitted under; when the run ends the receiver adopts
 // the final generation's tuning (the production hot-swap's last commit).
@@ -143,22 +134,31 @@ func PostSwapSplit(fresh, stale *trace.Report) (freshMean, staleMean float64, n 
 // promotion is provisional: a re-tune the canary measures worse than the
 // pre-swap baseline by more than Supervisor.RollbackMargin is rolled back,
 // the previously live instance is reinstated for drift detection and final
-// adoption, and the verdict lands in the report's Metrics (Rollbacks,
+// adoption, and the verdict lands in the model report's Metrics (Rollbacks,
 // SwapEvent.Rollback/CanaryMean).
 //
-// The instance must be tuned; determinism of the trace, the drift source and
+// The report's ModelReports[0] is the single-model view (per-request
+// sojourns, outcomes and generation stamps in the caller's order, the swap
+// history); per-worker accounting lives in its pool-wide Metrics. The
+// instance must be tuned; determinism of the trace, the drift source and
 // the tuner makes the whole run reproducible for a fixed seed.
-func (r *RecFlex) ServeContinuous(reqs []trace.Request, src TimedBatchSource, opts ContinuousOptions) (*trace.Report, error) {
-	sv, commit, err := r.continuousSupervisor(src, opts)
+func (r *RecFlex) ServeContinuous(reqs []trace.Request, src TimedBatchSource, q trace.QueuePolicy, opts ContinuousOptions) (*fleet.Report, error) {
+	return serveOne(q, FleetModel{Name: "model", Rec: r, Source: src, Opts: opts}, reqs)
+}
+
+// serveOne replays a single-model stream, in the caller's order, through
+// ServeFleet on a one-model, one-tenant FIFO pool.
+func serveOne(q trace.QueuePolicy, m FleetModel, reqs []trace.Request) (*fleet.Report, error) {
+	freqs := make([]fleet.Request, len(reqs))
+	for i, r := range reqs {
+		freqs[i] = fleet.Request{Arrival: r.Arrival, Size: r.Size, Deadline: r.Deadline}
+	}
+	res, err := ServeFleet(fleet.Config{Queue: q, Admission: fleet.FIFO{}},
+		[]FleetModel{m}, []fleet.TenantSpec{{Name: "all"}}, freqs)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sv.Run(reqs)
-	if err != nil {
-		return nil, err
-	}
-	commit()
-	return rep, nil
+	return res.Report, nil
 }
 
 // continuousSupervisor builds the continuous-serving supervisor over this
@@ -166,9 +166,8 @@ func (r *RecFlex) ServeContinuous(reqs []trace.Request, src TimedBatchSource, op
 // background re-tunes via the two-stage schedule search, canary rollbacks
 // reinstating the right instance — together with the commit closure that
 // adopts the final live generation's tuning into the receiver. The caller
-// runs the supervisor (directly via Run, or on a shared fleet pool) and
-// calls commit after a successful run. Both ServeContinuous and ServeFleet
-// are thin wrappers around this.
+// serves the supervisor on a fleet pool (BuildFleetPool) and calls commit
+// after a successful run.
 func (r *RecFlex) continuousSupervisor(src TimedBatchSource, opts ContinuousOptions) (*trace.Supervisor, func(), error) {
 	if r.Tuned() == nil {
 		return nil, nil, errNotTuned

@@ -7,10 +7,22 @@ import (
 
 	"repro/internal/datasynth"
 	"repro/internal/embedding"
+	"repro/internal/fleet"
 	"repro/internal/gpusim"
 	"repro/internal/trace"
 	"repro/internal/tuner"
 )
+
+// fixtureQueue is the two-worker pool the continuous-serving tests run on.
+var fixtureQueue = trace.QueuePolicy{Workers: 2}
+
+// reportString renders a serving report for exact comparison: the
+// single-model view plus the pool's per-worker accounting. fmt's %+v
+// round-trips every distinct float64 and prints NaN stably, so string
+// equality is exact value equality up to NaN==NaN.
+func reportString(rep *fleet.Report) string {
+	return fmt.Sprintf("%+v %s %+v", rep.ModelReports[0], rep.Metrics, rep.Metrics.Workers)
+}
 
 // continuousFixture builds the shared drifting-trace scenario: a tuned
 // instance, a Poisson trace whose pooling factors scale 4x a third of the
@@ -30,7 +42,6 @@ func continuousFixture(t *testing.T) (*RecFlex, []trace.Request, TimedBatchSourc
 	}
 	opts := ContinuousOptions{
 		Supervisor: trace.SupervisorConfig{
-			Server:     trace.ServerConfig{Workers: 2},
 			Window:     12,
 			CheckEvery: 6,
 			MaxRetunes: 1,
@@ -49,10 +60,11 @@ func TestServeContinuousEndToEnd(t *testing.T) {
 	rf, reqs, src, opts := continuousFixture(t)
 
 	live := rf.Clone()
-	rep, err := live.ServeContinuous(reqs, src, opts)
+	pr, err := live.ServeContinuous(reqs, src, fixtureQueue, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := pr.ModelReports[0]
 	m := rep.Metrics
 	if len(m.Swaps) != 1 || m.Generation != 1 {
 		t.Fatalf("want exactly one hot-swap, got %d (generation %d)", len(m.Swaps), m.Generation)
@@ -92,10 +104,11 @@ func TestServeContinuousEndToEnd(t *testing.T) {
 		t.Error("live instance still serves the stale schedule set after the swap")
 	}
 
-	stale, err := rf.ServeFrozen(reqs, src, opts)
+	spr, err := rf.ServeFrozen(reqs, src, fixtureQueue, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stale := spr.ModelReports[0]
 	sm := stale.Metrics
 	if sm.Generation != 0 || len(sm.Swaps) != 0 || sm.TuneBusy != 0 {
 		t.Fatalf("frozen baseline re-tuned: generation %d, %d swaps", sm.Generation, len(sm.Swaps))
@@ -117,19 +130,16 @@ func TestServeContinuousEndToEnd(t *testing.T) {
 
 // Two identically-seeded drifting runs must be bit-identical — the whole
 // loop (admission, windowing, detection, background tune, swap timing,
-// metrics) is a pure function of (instance, trace, options). fmt's %+v
-// round-trips every distinct float64 and prints NaN stably, so string
-// equality is exact value equality up to NaN==NaN (swap means can be NaN
-// when a swap lands at a trace edge).
+// metrics) is a pure function of (instance, trace, options).
 func TestServeContinuousDeterministicSeed(t *testing.T) {
 	rf, reqs, src, opts := continuousFixture(t)
 
 	run := func() string {
-		rep, err := rf.Clone().ServeContinuous(reqs, src, opts)
+		rep, err := rf.Clone().ServeContinuous(reqs, src, fixtureQueue, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v", rep)
+		return reportString(rep)
 	}
 	a, b := run(), run()
 	if a != b {
@@ -137,11 +147,11 @@ func TestServeContinuousDeterministicSeed(t *testing.T) {
 	}
 
 	frozen := func() string {
-		rep, err := rf.ServeFrozen(reqs, src, opts)
+		rep, err := rf.ServeFrozen(reqs, src, fixtureQueue, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v", rep)
+		return reportString(rep)
 	}
 	if fa, fb := frozen(), frozen(); fa != fb {
 		t.Fatalf("identically-seeded frozen runs diverged:\n%s\n---\n%s", fa, fb)
@@ -158,11 +168,11 @@ func TestServeContinuousCanaryConfirmsRetune(t *testing.T) {
 	opts.Supervisor.RollbackMargin = 0.5
 
 	live := rf.Clone()
-	rep, err := live.ServeContinuous(reqs, src, opts)
+	rep, err := live.ServeContinuous(reqs, src, fixtureQueue, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rep.Metrics
+	m := rep.ModelReports[0].Metrics
 	if len(m.Swaps) != 1 || m.Generation != 1 || m.Rollbacks != 0 {
 		t.Fatalf("want one confirmed promotion, got %d swaps generation %d rollbacks %d",
 			len(m.Swaps), m.Generation, m.Rollbacks)
@@ -183,11 +193,11 @@ func TestServeContinuousCanaryConfirmsRetune(t *testing.T) {
 	}
 
 	run := func() string {
-		rep, err := rf.Clone().ServeContinuous(reqs, src, opts)
+		rep, err := rf.Clone().ServeContinuous(reqs, src, fixtureQueue, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%+v", rep)
+		return reportString(rep)
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("identically-seeded guarded runs diverged:\n%s\n---\n%s", a, b)
@@ -201,10 +211,10 @@ func TestServeContinuousErrors(t *testing.T) {
 		return datasynth.BatchForSize(cfg, size)
 	}
 	reqs := []trace.Request{{Arrival: 0, Size: 64}}
-	if _, err := rf.ServeContinuous(reqs, src, ContinuousOptions{}); err == nil {
+	if _, err := rf.ServeContinuous(reqs, src, fixtureQueue, ContinuousOptions{}); err == nil {
 		t.Error("ServeContinuous accepted an untuned instance")
 	}
-	if _, err := rf.ServeFrozen(reqs, src, ContinuousOptions{}); err == nil {
+	if _, err := rf.ServeFrozen(reqs, src, fixtureQueue, ContinuousOptions{}); err == nil {
 		t.Error("ServeFrozen accepted an untuned instance")
 	}
 }

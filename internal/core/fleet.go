@@ -22,9 +22,8 @@ type FleetModel struct {
 	Rec *RecFlex
 	// Source supplies measurement batches (see TimedBatchSource).
 	Source TimedBatchSource
-	// Opts shapes the model's continuous loop. Opts.Supervisor.Server is
-	// only validated, not used for capacity — the fleet pool's shared queue
-	// governs serving; the per-model supervisor contributes its window,
+	// Opts shapes the model's continuous loop: the pool's shared queue
+	// governs capacity; the per-model supervisor contributes its window,
 	// check cadence, tune duration, cooldown and canary settings.
 	Opts ContinuousOptions
 	// Frozen disables drift control for this model.

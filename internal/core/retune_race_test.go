@@ -1,12 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/fleet"
 	"repro/internal/tuner"
 )
 
@@ -33,11 +32,11 @@ func TestConcurrentWarmRetunesSharedMemo(t *testing.T) {
 
 	// Cold-cache reference: the same warm-started loop with no memo at all.
 	ref := rf.Clone()
-	refRep, err := ref.ServeContinuous(reqs, src, opts)
+	refRep, err := ref.ServeContinuous(reqs, src, fixtureQueue, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStr := fmt.Sprintf("%+v", refRep)
+	refStr := reportString(refRep)
 	refLat := ref.Tuned().Latency
 
 	memo := tuner.NewMemo()
@@ -46,7 +45,7 @@ func TestConcurrentWarmRetunesSharedMemo(t *testing.T) {
 
 	const models = 2
 	lives := make([]*RecFlex, models)
-	reports := make([]*trace.Report, models)
+	reports := make([]*fleet.Report, models)
 	errs := make([]error, models)
 	var wg sync.WaitGroup
 	for i := 0; i < models; i++ {
@@ -54,7 +53,7 @@ func TestConcurrentWarmRetunesSharedMemo(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = lives[i].ServeContinuous(reqs, src, shared)
+			reports[i], errs[i] = lives[i].ServeContinuous(reqs, src, fixtureQueue, shared)
 		}(i)
 	}
 	wg.Wait()
@@ -63,20 +62,20 @@ func TestConcurrentWarmRetunesSharedMemo(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("model %d: %v", i, errs[i])
 		}
-		if got := fmt.Sprintf("%+v", reports[i]); got != refStr {
+		if got := reportString(reports[i]); got != refStr {
 			t.Errorf("model %d diverged from the cold-cache run:\n%s\n---\n%s", i, got, refStr)
 		}
 		if lat := lives[i].Tuned().Latency; math.Float64bits(lat) != math.Float64bits(refLat) {
 			t.Errorf("model %d adopted latency %g, want cold-cache %g exactly", i, lat, refLat)
 		}
 		prev := -1
-		for j, g := range reports[i].Generations {
+		for j, g := range reports[i].ModelReports[0].Generations {
 			if g < prev {
 				t.Fatalf("model %d: generation stamps not monotone at %d: %d -> %d", i, j, prev, g)
 			}
 			prev = g
 		}
-		if len(reports[i].Metrics.Swaps) == 0 {
+		if len(reports[i].ModelReports[0].Metrics.Swaps) == 0 {
 			t.Fatalf("model %d never re-tuned; the stress exercised nothing", i)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasynth"
 	"repro/internal/embedding"
+	"repro/internal/fleet"
 	"repro/internal/gpusim"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -16,8 +17,8 @@ import (
 
 // DriftResult is the §IV-A3 re-tuning lifecycle study, run end-to-end through
 // the continuous serving loop: a drifting request trace (pooling factors
-// scale by DriftFactor mid-stream) is replayed through trace.Supervisor,
-// which detects the shift online, re-tunes in the background on a worker
+// scale by DriftFactor mid-stream) is replayed on a one-model pool whose
+// trace.Supervisor detects the shift online, re-tunes in the background on a worker
 // slot, and hot-swaps the fresh schedule set. The same trace replayed with
 // the detector pinned off gives the stale-schedule baseline, so the
 // latency split compares identical post-drift requests under old vs new
@@ -107,9 +108,9 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	src := func(t float64, size int) (*embedding.Batch, error) {
 		return drift.BatchForSize(cfg, t, size)
 	}
+	q := trace.QueuePolicy{Workers: 2}
 	opts := core.ContinuousOptions{
 		Supervisor: trace.SupervisorConfig{
-			Server:     trace.ServerConfig{Workers: 2},
 			Window:     16,
 			CheckEvery: 8,
 			MaxRetunes: 1,
@@ -129,18 +130,20 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	// The continuous run re-tunes and adopts the final generation; run it on
 	// a clone so the suite's cached instance keeps its original tuning.
 	live := rf.Clone()
-	rep, err := live.ServeContinuous(reqs, src, opts)
+	pr, err := live.ServeContinuous(reqs, src, q, opts)
 	if err != nil {
 		return nil, err
 	}
+	rep := pr.ModelReports[0]
 
 	// Stale baseline: the identical loop with drift control disabled, i.e.
 	// every request served by generation 0. Same engine, same trace, same
 	// virtual clock — the only difference is the schedules.
-	staleRep, err := rf.ServeFrozen(reqs, src, opts)
+	stalePR, err := rf.ServeFrozen(reqs, src, q, opts)
 	if err != nil {
 		return nil, err
 	}
+	staleRep := stalePR.ModelReports[0]
 
 	res := &DriftResult{
 		DriftFactor: factor,
@@ -178,28 +181,28 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	serialOpts := opts
 	serialOpts.Tune.Serial = true
 	serialLive := rf.Clone()
-	serialRep, err := serialLive.ServeContinuous(reqs, src, serialOpts)
+	serialRep, err := serialLive.ServeContinuous(reqs, src, q, serialOpts)
 	if err != nil {
 		return nil, err
 	}
-	res.RetuneWallSerial = serialRep.Metrics.TuneWall
+	res.RetuneWallSerial = serialRep.ModelReports[0].Metrics.TuneWall
 
 	fleetOpts := opts
 	fleetOpts.WarmStart = true
 	fleetOpts.Tune.Memo = tuner.NewMemo()
 	warmLive := rf.Clone()
-	warmRep, err := warmLive.ServeContinuous(reqs, src, fleetOpts)
+	warmRep, err := warmLive.ServeContinuous(reqs, src, q, fleetOpts)
 	if err != nil {
 		return nil, err
 	}
-	res.RetuneWallWarm = warmRep.Metrics.TuneWall
+	res.RetuneWallWarm = warmRep.ModelReports[0].Metrics.TuneWall
 
 	fleetLive := rf.Clone()
-	fleetRep, err := fleetLive.ServeContinuous(reqs, src, fleetOpts)
+	fleetRep, err := fleetLive.ServeContinuous(reqs, src, q, fleetOpts)
 	if err != nil {
 		return nil, err
 	}
-	res.RetuneWallFleet = fleetRep.Metrics.TuneWall
+	res.RetuneWallFleet = fleetRep.ModelReports[0].Metrics.TuneWall
 	if res.RetuneWallFleet > 0 {
 		res.RetuneSpeedup = res.RetuneWallSerial / res.RetuneWallFleet
 	}
@@ -209,8 +212,8 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	// poisoned — 3x slower than the live schedules, the worst case of a tune
 	// overfitting a noisy drift window. The canary guard must measure the
 	// promotion worse than the pre-swap baseline and roll it back. This act
-	// drives the trace-level supervisor directly: the poison is injected at
-	// the service layer, below core's real tuner.
+	// serves its own supervisor on a one-model pool: the poison is injected
+	// at the service layer, below core's real tuner.
 	base := rf.TimedService(src, opts.Quantum, opts.PhaseOf)
 	driftAt := reqs[n/3].Arrival
 	detect := func(win []trace.WindowEntry) (bool, error) {
@@ -230,10 +233,16 @@ func (s *Suite) driftStudy() (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prep, err := guard.Run(reqs)
+	pool, err := fleet.NewPool(fleet.Config{Queue: q, Admission: fleet.FIFO{}},
+		[]fleet.Model{{Name: "C", Supervisor: guard}}, []fleet.TenantSpec{{Name: "all"}})
 	if err != nil {
 		return nil, err
 	}
+	pfr, err := pool.Serve(fleet.Merge(fleet.Stream{Reqs: reqs}))
+	if err != nil {
+		return nil, err
+	}
+	prep := pfr.ModelReports[0]
 	pm := prep.Metrics
 	res.PoisonRollbacks = pm.Rollbacks
 	for _, s := range pm.Swaps {

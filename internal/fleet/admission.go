@@ -99,8 +99,10 @@ type PoolLoad struct {
 
 // AdmissionPolicy decides who enters the shared queue and who dispatches
 // next. Implementations must be deterministic — the pool replay is exact,
-// and a nondeterministic policy would break reproducibility — and must not
-// retain the slices they are handed.
+// and a nondeterministic policy would break reproducibility — and must
+// neither retain nor modify the slices they are handed: the engine passes
+// its live per-tenant counts and reuses the candidate slice across
+// dispatches.
 type AdmissionPolicy interface {
 	// Name labels the policy in reports.
 	Name() string

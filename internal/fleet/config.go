@@ -55,9 +55,8 @@ type Model struct {
 	// Service is the model's fixed schedule set (generation 0 forever).
 	Service trace.TimedServiceFunc
 	// Supervisor owns the model's continuous-serving control. The pool
-	// holds its run lock for the duration of Serve, so generations stay
-	// monotone on the supervisor's LiveSet exactly as under
-	// trace.Supervisor.Run.
+	// holds its run lock for the duration of a session, so generations stay
+	// monotone on the supervisor's LiveSet.
 	Supervisor *trace.Supervisor
 	// Reserve is the model's exclusive worker floor under packed or spread
 	// placement: assign() carves this many of the lowest-indexed workers out
@@ -106,13 +105,13 @@ type Config struct {
 	// QueueDepth the shared admission-queue bound, Deadline the pool-wide
 	// default, Policy the degradation policy, SplitCap the long-tail split
 	// threshold. Under DegradeSplitTail with SplitCap > 0 the pool applies
-	// the single-model engine's split-at-cap fallback at dispatch time: a
-	// tail request that would miss its deadline as one kernel is split into
-	// capped chunks that dispatch ahead of the policy's picks (a split
-	// request was already chosen once; finishing it promptly is the point).
-	// Unlike the single-model engine, a full queue stays entirely the
-	// admission policy's decision — there is no tail eviction or soft bound;
-	// chunks do count toward the policy's queue-occupancy view.
+	// the split-at-cap fallback at dispatch time: a tail request that would
+	// miss its deadline as one kernel is split into capped chunks that
+	// dispatch ahead of the policy's picks (a split request was already
+	// chosen once; finishing it promptly is the point). Admission at a full
+	// queue is the admission policy's decision; every built-in policy sheds
+	// the arrival whatever its size, and queued chunks count toward the
+	// occupancy the policy sees — the single-model engine's rule.
 	Queue trace.QueuePolicy
 	// Placement assigns models to workers (see Strategy).
 	Placement Strategy

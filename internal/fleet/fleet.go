@@ -19,10 +19,10 @@
 //
 // Supervised models keep their full continuous-serving semantics — drift
 // detection, background re-tunes booked on their placed workers, hot-swaps,
-// canary rollbacks — through trace.LoopControl, the per-admission control
-// extracted from trace.Supervisor.Run. Like the single-model engine, the
-// replay is exact and deterministic: the same stream, models, tenants and
-// configuration always produce the same Report.
+// canary rollbacks — through trace.LoopControl, the per-admission drift
+// control; only the pool runs it, and single-model continuous serving is a
+// one-model pool. The replay is exact and deterministic: the same
+// stream, models, tenants and configuration always produce the same Report.
 package fleet
 
 import (
@@ -292,7 +292,7 @@ func (st *poolRun) betterWorker(w, best int) bool {
 // Out-of-order input is sorted on entry; all per-request slices stay aligned
 // with the caller's indices. Supervised models' drift control runs inside
 // the replay (their swap histories land in ModelReports), and each
-// supervisor's metrics snapshot is installed as if Run had been called.
+// supervisor's metrics snapshot is installed from its model's report.
 //
 // Serve is a thin batch driver over the incremental Live engine: Begin,
 // Admit every request in arrival order, Close. A live gateway session runs

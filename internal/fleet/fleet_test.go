@@ -277,7 +277,7 @@ func TestFleetRebalanceInvalid(t *testing.T) {
 // semantics: the scripted scenario from the trace package's swap-semantics
 // test reproduces through the fleet — same generation stamps, same sojourns,
 // same swap event, tune occupancy attributed to the pool worker, and the
-// supervisor's LiveSet and metrics snapshot published as under Run.
+// supervisor's LiveSet and metrics snapshot published.
 func TestFleetSupervisedSwapSemantics(t *testing.T) {
 	gen0 := constSvc(1e-3)
 	gen1 := constSvc(5e-4)
@@ -288,7 +288,6 @@ func TestFleetSupervisedSwapSemantics(t *testing.T) {
 		return gen1, nil
 	}
 	sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 1},
 		Window:       2,
 		CheckEvery:   1,
 		TuneDuration: 0.5,
@@ -414,7 +413,6 @@ func eqFleetReports(t *testing.T, a, b *fleet.Report) {
 func driftyModel(t *testing.T, name string, base float64, driftAt float64) fleet.Model {
 	t.Helper()
 	sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 1},
 		Window:       8,
 		CheckEvery:   4,
 		TuneDuration: 0.02,

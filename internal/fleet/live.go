@@ -67,7 +67,8 @@ type Live struct {
 	queue   []qentry // whole admissions awaiting dispatch, admission order
 	chunks  []qentry // split chunks awaiting dispatch, FIFO
 	splits  map[int]*fleetSplit
-	eligIdx []int // dispatch-candidate scratch, reused across events
+	eligIdx []int           // dispatch-candidate scratch, reused across events
+	elig    []QueuedRequest // the policy's view of eligIdx, reused likewise
 
 	queuedByTenant []int
 	queuedByModel  []int
@@ -307,7 +308,7 @@ func (l *Live) Admit(r Request) (int, []Event, error) {
 		Now:            now,
 		Queued:         len(l.queue) + len(l.chunks),
 		QueueDepth:     l.p.cfg.Queue.QueueDepth,
-		QueuedByTenant: append([]int(nil), l.queuedByTenant...),
+		QueuedByTenant: l.queuedByTenant,
 	}
 	ok, out := l.p.policy.Admit(qr, load)
 	if !ok {
@@ -776,14 +777,15 @@ func (l *Live) dispatchAt(bestW int, tDisp float64) error {
 			l.eligIdx = append(l.eligIdx, i)
 		}
 	}
-	elig := make([]QueuedRequest, len(l.eligIdx))
-	for j, i := range l.eligIdx {
+	elig := l.elig[:0]
+	for _, i := range l.eligIdx {
 		e := &l.queue[i]
-		elig[j] = QueuedRequest{
+		elig = append(elig, QueuedRequest{
 			ID: e.id, Arrival: e.arrival, Deadline: e.deadline,
 			Size: e.size, Model: e.model, Tenant: e.tenant, Priority: e.prio,
-		}
+		})
 	}
+	l.elig = elig
 	pick := p.policy.Next(elig, tDisp)
 	if pick < 0 || pick >= len(elig) {
 		return fmt.Errorf("fleet: policy %s picked out-of-range candidate %d of %d", p.policy.Name(), pick, len(elig))

@@ -43,7 +43,6 @@ func mustPool(t *testing.T, cfg fleet.Config, models []fleet.Model, tenants []fl
 func driftyModel(t *testing.T, name string, base, driftAt float64) fleet.Model {
 	t.Helper()
 	sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 1},
 		Window:       8,
 		CheckEvery:   4,
 		TuneDuration: 0.02,

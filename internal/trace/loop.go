@@ -17,20 +17,19 @@ var wallNow = time.Now
 // Occupier books background (non-serving) work on a replay loop's worker
 // capacity: Occupy charges dur seconds starting no earlier than virtual time
 // now on some worker slot and returns the chosen slot and the booked
-// interval. The single-model replay's replayState implements it; the fleet
-// pool implements it per model over that model's placed workers.
+// interval. The fleet pool implements it per model over that model's placed
+// workers.
 type Occupier interface {
 	Occupy(now, dur float64) (worker int, start, end float64)
 }
 
 // LoopControl is one supervised model's continuous-serving control state,
-// factored out of Supervisor.Run so any replay loop can drive it per
-// admission: the sliding window, drift-check pacing, background-tune
-// booking, hot-swap application, canary evaluation and rollback. The
-// single-model Supervisor.Run wires it into the trace replay engine; the
-// fleet pool wires several of them — one per model — into its shared-pool
-// replay, which is how each model keeps its drift-detect/hot-swap/canary
-// semantics while sharing capacity with other models.
+// driven per admission by a replay loop: the sliding window, drift-check
+// pacing, background-tune booking, hot-swap application, canary evaluation
+// and rollback. The fleet pool drives one per supervised model in its
+// shared-pool replay, which is how each model keeps its
+// drift-detect/hot-swap/canary semantics while sharing capacity with other
+// models; single-model serving is a one-model pool.
 //
 // A LoopControl holds its supervisor's run lock from BeginRun until Finalize
 // or Abort, preserving the monotone-generation guarantee on the shared

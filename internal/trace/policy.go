@@ -16,11 +16,12 @@ const (
 	// chunk re-enters least-loaded dispatch as its own unit of work, reusing
 	// the fused kernel's runtime thread mapping at the (well-tuned) capped
 	// size, so a 2,560-sample DeepRecSys-style request degrades into five
-	// 512-sample kernels instead of monopolizing one GPU. Requests at or
-	// below the cap are never shed: they are served even if late (counted
-	// as Timeouts). A tail request is shed only when it cannot even start
-	// before its deadline, or when it must make room in a full admission
-	// queue.
+	// 512-sample kernels instead of monopolizing one GPU. Deadlines never
+	// shed a request at or below the cap: it is served even if late
+	// (counted as Timeouts). A tail request is deadline-shed only when it
+	// cannot even start before its deadline. The queue bound is the same
+	// under every policy: an arrival that finds the queue full is shed,
+	// whatever its size.
 	DegradeSplitTail DegradePolicy = iota
 	// DegradeServe serves every admitted request to completion; deadline
 	// misses are only counted (Timeouts), never acted on.
@@ -66,7 +67,9 @@ func ParseDegradePolicy(s string) (DegradePolicy, error) {
 type QueuePolicy struct {
 	// Workers is the number of simulated GPUs (k in M/G/k); 0 means 1.
 	Workers int
-	// QueueDepth bounds the admission queue; 0 means unbounded.
+	// QueueDepth bounds the admission queue (queued split chunks count
+	// toward it); 0 means unbounded. An arrival that finds it full is shed
+	// under every policy.
 	QueueDepth int
 	// Deadline is the default per-request completion deadline in seconds
 	// after arrival; 0 disables deadlines.

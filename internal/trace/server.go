@@ -59,13 +59,9 @@ func (o Outcome) Shed() bool {
 type ServerConfig struct {
 	// Workers is the number of simulated GPUs (k in M/G/k); 0 means 1.
 	Workers int
-	// QueueDepth bounds the admission queue; 0 means unbounded. Under the
-	// default DegradeSplitTail policy a full queue sheds only long-tail
-	// requests (the arriving tail, or the youngest queued tail to make room
-	// for a normal arrival); if no tail can make room, the normal request is
-	// admitted anyway — the bound is soft for non-tail traffic by design, so
-	// interactive requests are never dropped by a burst of batch traffic.
-	// Other policies shed the arriving request, whatever its size.
+	// QueueDepth bounds the admission queue (queued split chunks count
+	// toward it); 0 means unbounded. An arrival that finds the queue full is
+	// shed (OutcomeShedQueue) under every policy, whatever its size.
 	QueueDepth int
 	// Deadline is the default per-request completion deadline in seconds
 	// after arrival; 0 disables deadlines. Request.Deadline overrides it
@@ -113,9 +109,10 @@ type Report struct {
 	// Outcomes[i] resolves the caller's request i.
 	Outcomes []Outcome
 	// Generations[i] is the schedule-set generation the caller's request i
-	// was admitted on. All zeros for a plain Server run; a Supervisor run
-	// stamps each admission with the generation live at its arrival, so the
-	// pre/post-swap latency split can be computed per request.
+	// was admitted on. All zeros for a Server run; a supervised model's
+	// report from the fleet pool stamps each admission with the generation
+	// live at its arrival, so the pre/post-swap latency split can be
+	// computed per request.
 	Generations []int
 	// Metrics is the observability snapshot of this run.
 	Metrics *Metrics
@@ -123,9 +120,11 @@ type Report struct {
 
 // Server is the concurrent serving engine: requests are admitted from the
 // stream in arrival order through a bounded admission queue and dispatched
-// to k simulated-GPU workers by least-loaded routing (subsuming
-// ServeMultiGPU's router), with per-request deadlines, timeout/shed
-// accounting and graceful degradation of unsplit long-tail requests.
+// to k simulated-GPU workers — the lowest-index worker among those that can
+// start the queue head earliest — with per-request deadlines, timeout/shed
+// accounting and graceful degradation of unsplit long-tail requests. It
+// follows the fleet pool's rules exactly: a one-model, one-tenant FIFO
+// fleet.Pool replays any stream bit-identically, only slower.
 //
 // Execution is split into a physically concurrent phase and a deterministic
 // one. Service times are resolved by k worker goroutines draining a bounded
@@ -179,19 +178,6 @@ func (s *Server) Metrics() *Metrics {
 		return nil
 	}
 	return s.last.Clone()
-}
-
-// isTail reports whether a request of this size is an unsplit long-tail
-// batch under the configured cap.
-func (c *ServerConfig) isTail(size int) bool {
-	q := c.Queue()
-	return q.IsTail(size)
-}
-
-// chunkSizes returns the split-at-cap decomposition of a tail size.
-func (c *ServerConfig) chunkSizes(size int) []int {
-	q := c.Queue()
-	return q.ChunkSizes(size)
 }
 
 // denseSizeLimit bounds the dense size-indexed fast paths: up to this maximum
@@ -330,7 +316,6 @@ type qentry struct {
 	arrival  float64 // request arrival time
 	deadline float64 // absolute completion deadline (+Inf if none)
 	size     int
-	gen      int  // schedule-set generation stamped at admission
 	chunk    bool // split chunk of a tail request
 }
 
@@ -341,41 +326,14 @@ type splitState struct {
 	service   float64
 }
 
-// resolveFunc returns the service time of one queue entry. The plain Server
-// reads a pre-resolved per-size table; the Supervisor resolves against the
-// generation and arrival time stamped on the entry, so in-flight requests
-// keep the schedule set they were admitted on across a hot-swap.
-type resolveFunc func(e *qentry) (float64, error)
-
-// admitHook observes every arrival at its admission time, in arrival order,
-// before queue placement or shedding. It returns the schedule-set generation
-// to stamp on the entry. The hook may book background work on a worker slot
-// through replayState.Occupy — this is how the Supervisor charges a
-// background re-tune against serving capacity.
-type admitHook func(st *replayState, r Request, now float64) (gen int, err error)
-
-// finishHook observes every served completion as the replay resolves it:
-// the request's size, the generation it was admitted on, its completion time
-// and its sojourn. The Supervisor feeds its canary evaluation through this —
-// a guarded promotion needs served latencies, not just admissions.
-type finishHook func(size, gen int, end, sojourn float64)
-
-// replayState is the mutable state of one virtual-clock replay, exposed to
-// the admission hook so supervised runs can interact with worker capacity.
-type replayState struct {
-	cfg     ServerConfig
-	free    []float64 // free[g] is when worker g next becomes idle
-	workers []WorkerStats
-	met     *Metrics
-}
-
 // replayScratch is the reusable per-replay working set: everything a replay
 // allocates that does not escape into its Report. Pooled across replays so a
-// reused server (or supervisor, or back-to-back benchmark iterations) runs
-// its event loop out of warm memory instead of re-growing the queue, split
-// table and percentile scratch every time.
+// reused server (or back-to-back benchmark iterations) runs its event loop
+// out of warm memory instead of re-growing the queue, split table and
+// percentile scratch every time.
 type replayScratch struct {
-	state     replayState
+	free      []float64 // free[g] is when worker g next becomes idle
+	workers   []WorkerStats
 	queue     []qentry
 	servedSoj []float64
 	depths    depthSeries
@@ -395,17 +353,17 @@ var replayPool = sync.Pool{
 	},
 }
 
-// grab prepares the scratch for one replay over n requests and k workers.
+// grab prepares the scratch for one replay over k workers.
 func (sc *replayScratch) grab(k int) {
-	if cap(sc.state.free) < k {
-		sc.state.free = make([]float64, k)
-		sc.state.workers = make([]WorkerStats, k)
+	if cap(sc.free) < k {
+		sc.free = make([]float64, k)
+		sc.workers = make([]WorkerStats, k)
 	}
-	sc.state.free = sc.state.free[:k]
-	sc.state.workers = sc.state.workers[:k]
+	sc.free = sc.free[:k]
+	sc.workers = sc.workers[:k]
 	for g := 0; g < k; g++ {
-		sc.state.free[g] = 0
-		sc.state.workers[g] = WorkerStats{}
+		sc.free[g] = 0
+		sc.workers[g] = WorkerStats{}
 	}
 	sc.queue = sc.queue[:0]
 	sc.servedSoj = sc.servedSoj[:0]
@@ -415,38 +373,15 @@ func (sc *replayScratch) grab(k int) {
 	clear(sc.splits)
 }
 
-// Occupy books dur seconds of background work on the least-loaded worker at
-// virtual time now, returning the chosen slot and the booked start/end. The
-// booked interval delays every later dispatch routed to that worker, so the
-// capacity a background tune consumes is explicitly accounted rather than
-// assumed free; the duration accrues to Metrics.TuneBusy and to the chosen
-// worker's WorkerStats.TuneBusy, so the tuning worker reports occupied
-// rather than idle.
-func (st *replayState) Occupy(now, dur float64) (worker int, start, end float64) {
-	best := 0
-	for g := 1; g < len(st.free); g++ {
-		if st.free[g] < st.free[best] {
-			best = g
-		}
-	}
-	start = st.free[best]
-	if now > start {
-		start = now
-	}
-	end = start + dur
-	st.free[best] = end
-	st.met.TuneBusy += dur
-	st.workers[best].TuneBusy += dur
-	return best, start, end
-}
-
-// runReplay is the deterministic virtual-clock event loop shared by
-// Server.Serve and Supervisor.Run: FIFO admission with the configured queue
-// bound and degradation policy, least-loaded dispatch over cfg.workers()
-// simulated GPUs, per-request deadlines and split-at-cap fallback. sorted
-// must be in arrival order; order maps sorted positions back to the caller's
-// indices (nil = identity).
-func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveFunc, admit admitHook, onFinish finishHook) (*Report, error) {
+// runReplay is Server.Serve's deterministic virtual-clock event loop: FIFO
+// admission with the configured queue bound (a full queue sheds the
+// arrival), dispatch to the lowest-index worker among those that can start
+// the head earliest, per-request deadlines and the split-at-cap fallback —
+// the fleet pool's rules for one model, one tenant and FIFO admission.
+// sorted must be in arrival order; order maps sorted positions back to the
+// caller's indices (nil = identity). svc[pos] is the service time of the
+// request at sorted position pos; chunkSvc resolves split chunk sizes.
+func runReplay(cfg ServerConfig, sorted []Request, order []int, svc []float64, chunkSvc func(size int) float64) *Report {
 	k := cfg.workers()
 	n := len(sorted)
 	met := &Metrics{Latency: NewLatencyHistogram()}
@@ -456,18 +391,13 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	chunks := sc.chunkBuf
 	defer func() {
 		// Hand the (possibly grown) buffers back to the scratch so the pool
-		// keeps their capacity, and drop the Metrics reference so pooling the
-		// scratch does not pin the returned snapshot.
+		// keeps their capacity.
 		sc.queue = queue
 		sc.chunkBuf = chunks
-		sc.state.met = nil
 		replayPool.Put(sc)
 	}()
-	state := &sc.state
-	state.cfg = cfg
-	state.met = met
-	free := state.free
-	workerStats := state.workers
+	free := sc.free
+	workerStats := sc.workers
 	rep := &Report{
 		Result:      Result{Sojourn: make([]float64, n)},
 		Outcomes:    make([]Outcome, n),
@@ -516,7 +446,7 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	var busy, totalService, lastEnd float64
 	served := 0
 
-	finish := func(pos int, end, svc float64, out Outcome) {
+	finish := func(pos int, end, service float64, out Outcome) {
 		idx := originalIndex(order, pos)
 		soj := end - sorted[pos].Arrival
 		rep.Sojourn[idx] = soj
@@ -529,14 +459,11 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 		if out == OutcomeSplit {
 			met.SplitServed++
 		}
-		totalService += svc
+		totalService += service
 		if end > lastEnd {
 			lastEnd = end
 		}
 		served++
-		if onFinish != nil {
-			onFinish(sorted[pos].Size, rep.Generations[idx], end, soj)
-		}
 	}
 	shed := func(pos int, out Outcome) {
 		idx := originalIndex(order, pos)
@@ -549,10 +476,6 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	}
 
 	next := 0 // next arrival in sorted order
-	// The dispatched entry lives outside the loop: its address is passed to
-	// the indirect resolve func, so an in-loop declaration escapes and costs
-	// one heap allocation per dispatch.
-	var e qentry
 	for next < n || qlen() > 0 {
 		// Next event: dispatch the queue head as soon as a worker can take
 		// it, unless an arrival happens strictly first. Ties dispatch first,
@@ -564,63 +487,38 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 		tDisp := math.Inf(1)
 		best := 0
 		if qlen() > 0 {
-			for g := 1; g < k; g++ {
-				if free[g] < free[best] {
-					best = g
-				}
-			}
 			headArr := 0.0
 			if chead < len(chunks) {
 				headArr = chunks[chead].arrival
 			} else {
 				headArr = queue[head].arrival
 			}
-			// Plain compare instead of math.Max: both operands are finite
-			// non-negative virtual times, so the NaN/signed-zero handling
-			// math.Max pays for cannot matter here.
-			tDisp = free[best]
-			if headArr > tDisp {
-				tDisp = headArr
+			// The head goes to the lowest-index worker among those that can
+			// start it earliest — max(free, head arrival) — the fleet pool's
+			// rule, so idle workers tie to the lowest index rather than to
+			// the one idle longest. Plain compares instead of math.Max: both
+			// operands are finite non-negative virtual times.
+			for g := 0; g < k; g++ {
+				t := free[g]
+				if headArr > t {
+					t = headArr
+				}
+				if t < tDisp {
+					best, tDisp = g, t
+				}
 			}
 		}
 
 		if tDisp > tArr { // admit the next arrival
 			r := sorted[next]
 			e := qentry{pos: next, arrival: r.Arrival, deadline: deadlineOf(r), size: r.Size}
-			if admit != nil {
-				gen, err := admit(state, r, r.Arrival)
-				if err != nil {
-					return nil, err
-				}
-				e.gen = gen
-			}
-			rep.Generations[originalIndex(order, next)] = e.gen
 			next++
+			// A full queue (split chunks included) sheds the arrival, under
+			// every policy.
 			if cfg.QueueDepth > 0 && qlen() >= cfg.QueueDepth {
-				if splitTail {
-					switch {
-					case isTail(e.size):
-						shed(e.pos, OutcomeShedQueue)
-						observeDepth(r.Arrival)
-						continue
-					default:
-						// Evict the youngest queued whole tail request to
-						// make room; if none, admit anyway (soft bound for
-						// non-tail traffic). Chunks live in their own deque,
-						// so every queue entry here is a whole request.
-						for j := len(queue) - 1; j >= head; j-- {
-							if isTail(queue[j].size) {
-								shed(queue[j].pos, OutcomeShedQueue)
-								queue = append(queue[:j], queue[j+1:]...)
-								break
-							}
-						}
-					}
-				} else {
-					shed(e.pos, OutcomeShedQueue)
-					observeDepth(r.Arrival)
-					continue
-				}
+				shed(e.pos, OutcomeShedQueue)
+				observeDepth(r.Arrival)
+				continue
 			}
 			queue = append(queue, e)
 			observeDepth(r.Arrival)
@@ -628,7 +526,8 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 		}
 
 		// Dispatch the head — pending split chunks first, then the FIFO
-		// queue — on the least-loaded worker.
+		// queue — on the chosen worker.
+		var e qentry
 		if chead < len(chunks) {
 			e = chunks[chead]
 			chead++
@@ -649,15 +548,8 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 		st := tDisp
 		observeDepth(st)
 
-		sv, err := resolve(&e)
-		if err != nil {
-			return nil, err
-		}
-		if sv < 0 {
-			return nil, fmt.Errorf("trace: negative service time %g for size %d", sv, e.size)
-		}
-
 		if e.chunk {
+			sv := chunkSvc(e.size)
 			free[best] = st + sv
 			busy += sv
 			workerStats[best].Served++
@@ -675,6 +567,7 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 			continue
 		}
 
+		sv := svc[e.pos]
 		switch {
 		case shedPolicy && st+sv > e.deadline:
 			shed(e.pos, OutcomeShedDeadline)
@@ -687,17 +580,15 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 			// Split-at-cap fallback: re-admit the request as capped chunks
 			// that dispatch ahead of the queue; each chunk routes
 			// independently, so chunks of one tail request can run on several
-			// GPUs at once. Chunks inherit the parent's generation: a split
-			// request is still one admission and finishes on the schedule set
-			// it arrived under. The split state lives in the pooled slab; the
-			// map only ever holds pointers into it.
+			// GPUs at once. The split state lives in the pooled slab; the map
+			// only ever holds pointers into it.
 			cnt := 0
 			for sz := e.size; sz > 0; {
 				c := sz
 				if c > splitCap {
 					c = splitCap
 				}
-				chunks = append(chunks, qentry{pos: e.pos, arrival: e.arrival, deadline: e.deadline, size: c, gen: e.gen, chunk: true})
+				chunks = append(chunks, qentry{pos: e.pos, arrival: e.arrival, deadline: e.deadline, size: c, chunk: true})
 				sz -= c
 				cnt++
 			}
@@ -736,11 +627,7 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	if met.Makespan > 0 {
 		rep.Utilization = busy / (met.Makespan * float64(k))
 		for g := range workerStats {
-			// A worker occupied by a background tune was not idle: its
-			// utilization covers serving plus tuning, while the run-level
-			// Utilization above stays serving-only (the tune's cost is
-			// reported separately in Metrics.TuneBusy).
-			workerStats[g].Utilization = (workerStats[g].Busy + workerStats[g].TuneBusy) / met.Makespan
+			workerStats[g].Utilization = workerStats[g].Busy / met.Makespan
 		}
 	}
 	// Copy the per-worker and queue-depth views out of the pooled scratch —
@@ -748,7 +635,7 @@ func runReplay(cfg ServerConfig, sorted []Request, order []int, resolve resolveF
 	// the next replay will overwrite.
 	met.Workers = append([]WorkerStats(nil), workerStats...)
 	met.QueueDepth = append([]QueueSample(nil), sc.depths.samples...)
-	return rep, nil
+	return rep
 }
 
 // Serve runs the request stream through the engine and returns the exact
@@ -765,36 +652,26 @@ func (s *Server) Serve(reqs []Request) (*Report, error) {
 		return nil, err
 	}
 	// Pre-resolve each position's service time so the replay's per-dispatch
-	// resolve is an indexed load; split chunks (whose sizes need not match
+	// lookup is an indexed load; split chunks (whose sizes need not match
 	// any request's) go through a dense size table when sizes are small, the
 	// size map otherwise.
 	svc := make([]float64, len(sorted))
-	var bySize []float64
+	chunkSvc := func(size int) float64 { return times[size] }
 	if max := maxRequestSize(sorted); max <= denseSizeLimit {
-		bySize = make([]float64, max+1)
+		bySize := make([]float64, max+1)
 		for size, t := range times {
 			bySize[size] = t
 		}
 		for i, r := range sorted {
 			svc[i] = bySize[r.Size]
 		}
+		chunkSvc = func(size int) float64 { return bySize[size] }
 	} else {
 		for i, r := range sorted {
 			svc[i] = times[r.Size]
 		}
 	}
-	rep, err := runReplay(s.cfg, sorted, order, func(e *qentry) (float64, error) {
-		if e.chunk {
-			if bySize != nil {
-				return bySize[e.size], nil
-			}
-			return times[e.size], nil
-		}
-		return svc[e.pos], nil
-	}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
+	rep := runReplay(s.cfg, sorted, order, svc, chunkSvc)
 	s.mu.Lock()
 	s.last = rep.Metrics
 	s.mu.Unlock()

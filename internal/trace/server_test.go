@@ -212,9 +212,10 @@ func TestServerSplitTailFallback(t *testing.T) {
 	}
 }
 
-// Property: under the default policy, shedding never drops a non-tail
-// request — across random traces, worker counts, queue bounds and deadline
-// pressure, every request at or below the split cap is served.
+// Property: under the default policy with an unbounded queue, deadline
+// shedding never drops a non-tail request — across random traces, worker
+// counts and deadline pressure, every request at or below the split cap is
+// served. (A bounded queue sheds any arrival that finds it full.)
 func TestServerDefaultPolicyNeverShedsNonTail(t *testing.T) {
 	const cap = 512
 	for seed := int64(1); seed <= 8; seed++ {
@@ -230,11 +231,10 @@ func TestServerDefaultPolicyNeverShedsNonTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := trace.ServerConfig{
-			Workers:    1 + rng.Intn(3),
-			QueueDepth: 1 + rng.Intn(8),
-			Deadline:   1e-4 + rng.Float64()*1e-2, // tight: forces degradation
-			SplitCap:   cap,
-			Policy:     trace.DegradeSplitTail,
+			Workers:  1 + rng.Intn(3),
+			Deadline: 1e-4 + rng.Float64()*1e-2, // tight: forces degradation
+			SplitCap: cap,
+			Policy:   trace.DegradeSplitTail,
 		}
 		srv, err := trace.NewServer(cfg, sizeService(2e-5))
 		if err != nil {
@@ -259,50 +259,6 @@ func TestServerDefaultPolicyNeverShedsNonTail(t *testing.T) {
 		if got := rep.Metrics.Shed(); got != shedTails {
 			t.Errorf("seed %d: metrics count %d sheds, outcomes say %d", seed, got, shedTails)
 		}
-	}
-}
-
-// A full bounded queue under the default policy evicts the youngest queued
-// tail to admit a normal request; under DegradeShed it sheds the arrival.
-func TestServerQueueBoundTailEviction(t *testing.T) {
-	reqs := []trace.Request{
-		{Arrival: 0, Size: 10},     // occupies the worker for 1s
-		{Arrival: 0.1, Size: 2000}, // tail, queued
-		{Arrival: 0.2, Size: 20},   // arrives at a full queue
-	}
-	service := func(int) (float64, error) { return 1, nil }
-	srv, err := trace.NewServer(trace.ServerConfig{
-		Workers: 1, QueueDepth: 1, SplitCap: 512, Policy: trace.DegradeSplitTail,
-	}, service)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := srv.Serve(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Outcomes[1] != trace.OutcomeShedQueue {
-		t.Errorf("queued tail outcome %v, want shed-queue (evicted)", rep.Outcomes[1])
-	}
-	if rep.Outcomes[0] != trace.OutcomeServed || rep.Outcomes[2] != trace.OutcomeServed {
-		t.Errorf("outcomes %v: normal requests must be served", rep.Outcomes)
-	}
-	if rep.Metrics.QueueSheds != 1 {
-		t.Errorf("counters: %s", rep.Metrics)
-	}
-
-	hard, err := trace.NewServer(trace.ServerConfig{
-		Workers: 1, QueueDepth: 1, SplitCap: 512, Policy: trace.DegradeShed,
-	}, service)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := hard.Serve(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Outcomes[2] != trace.OutcomeShedQueue {
-		t.Errorf("DegradeShed: arriving request outcome %v, want shed-queue", rep2.Outcomes[2])
 	}
 }
 
@@ -453,13 +409,17 @@ func TestServerUnsortedInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same scenario as TestServerQueueBoundTailEviction, but the caller's
-	// order is scrambled: index 2 holds the tail.
-	if rep.Outcomes[2] != trace.OutcomeShedQueue {
-		t.Errorf("tail at caller index 2: outcome %v, want shed-queue", rep.Outcomes[2])
+	// In arrival order: the t=0 request takes the worker, the t=0.1 tail
+	// fills the one-slot queue and the t=0.2 request finds it full. The
+	// caller's order is scrambled, so the shed lands on caller index 0.
+	if rep.Outcomes[0] != trace.OutcomeShedQueue {
+		t.Errorf("last arrival at caller index 0: outcome %v, want shed-queue", rep.Outcomes[0])
 	}
-	if rep.Outcomes[0] != trace.OutcomeServed || rep.Outcomes[1] != trace.OutcomeServed {
+	if rep.Outcomes[1] != trace.OutcomeServed || rep.Outcomes[2] != trace.OutcomeServed {
 		t.Errorf("outcomes %v", rep.Outcomes)
+	}
+	if !math.IsNaN(rep.Sojourn[0]) || rep.Sojourn[1] != 1 || rep.Sojourn[2] != 1.9 {
+		t.Errorf("sojourns %v, want [NaN 1 1.9]", rep.Sojourn)
 	}
 }
 
@@ -499,7 +459,7 @@ func TestServerAllShedMakespanZero(t *testing.T) {
 	}
 }
 
-// The three DegradeSplitTail full-queue paths, each pinned separately.
+// The DegradeSplitTail full-queue paths, each pinned separately.
 
 // Path 1: a long-tail request arriving at a full queue is shed outright.
 func TestServerQueueFullArrivingTailShed(t *testing.T) {
@@ -529,18 +489,16 @@ func TestServerQueueFullArrivingTailShed(t *testing.T) {
 	}
 }
 
-// Path 2: a non-tail request arriving at a full queue evicts the YOUNGEST
-// queued whole tail — with two tails queued, the later one goes and the
-// earlier keeps its place.
-func TestServerQueueFullEvictsYoungestTail(t *testing.T) {
+// Path 2: a non-tail request arriving at a full queue is shed like any
+// other arrival — the bound is hard under every policy.
+func TestServerQueueFullSoftBoundAdmit(t *testing.T) {
 	reqs := []trace.Request{
-		{Arrival: 0, Size: 64},       // dispatched immediately
-		{Arrival: 0.001, Size: 2560}, // older queued tail
-		{Arrival: 0.002, Size: 2560}, // younger queued tail
-		{Arrival: 0.003, Size: 64},   // non-tail at a full queue
+		{Arrival: 0, Size: 64},     // dispatched immediately
+		{Arrival: 0.001, Size: 64}, // queued: bound reached
+		{Arrival: 0.002, Size: 64}, // non-tail at a full queue
 	}
 	srv, err := trace.NewServer(trace.ServerConfig{
-		Workers: 1, QueueDepth: 2, SplitCap: 512,
+		Workers: 1, QueueDepth: 1, SplitCap: 512, Policy: trace.DegradeSplitTail,
 	}, func(int) (float64, error) { return 10, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -550,47 +508,16 @@ func TestServerQueueFullEvictsYoungestTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Outcomes[2] != trace.OutcomeShedQueue {
-		t.Errorf("younger queued tail outcome %v, want shed-queue (evicted)", rep.Outcomes[2])
+		t.Errorf("non-tail arrival at a full queue: outcome %v, want shed-queue", rep.Outcomes[2])
 	}
-	if rep.Outcomes[1] != trace.OutcomeServed {
-		t.Errorf("older queued tail outcome %v, want served — eviction must take the youngest", rep.Outcomes[1])
-	}
-	if rep.Outcomes[0] != trace.OutcomeServed || rep.Outcomes[3] != trace.OutcomeServed {
-		t.Errorf("outcomes %v: non-tail requests must be served", rep.Outcomes)
-	}
-	if m := rep.Metrics; m.QueueSheds != 1 || m.Served != 3 {
-		t.Errorf("counters: %s", m)
-	}
-}
-
-// Path 3: with no queued tail to make room, the non-tail arrival is admitted
-// past the bound — the queue depth is soft for non-tail traffic by design.
-func TestServerQueueFullSoftBoundAdmit(t *testing.T) {
-	reqs := []trace.Request{
-		{Arrival: 0, Size: 64},     // dispatched immediately
-		{Arrival: 0.001, Size: 64}, // queued: bound reached
-		{Arrival: 0.002, Size: 64}, // non-tail at a full all-non-tail queue
-	}
-	srv, err := trace.NewServer(trace.ServerConfig{
-		Workers: 1, QueueDepth: 1, SplitCap: 512,
-	}, func(int) (float64, error) { return 10, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := srv.Serve(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range rep.Outcomes {
-		if o != trace.OutcomeServed {
-			t.Errorf("request %d outcome %v, want served (soft bound admits)", i, o)
-		}
+	if rep.Outcomes[0] != trace.OutcomeServed || rep.Outcomes[1] != trace.OutcomeServed {
+		t.Errorf("outcomes %v: the queued requests must be served", rep.Outcomes)
 	}
 	m := rep.Metrics
-	if m.QueueSheds != 0 || m.Served != 3 {
+	if m.QueueSheds != 1 || m.Served != 2 {
 		t.Errorf("counters: %s", m)
 	}
-	if m.MaxQueueDepth != 2 {
-		t.Errorf("max queue depth %d, want 2 — the soft admit exceeds the bound of 1", m.MaxQueueDepth)
+	if m.MaxQueueDepth != 1 {
+		t.Errorf("max queue depth %d, want the bound of 1", m.MaxQueueDepth)
 	}
 }

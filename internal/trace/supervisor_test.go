@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/trace"
 )
 
@@ -69,6 +70,37 @@ func constTimed(v float64) trace.TimedServiceFunc {
 	return func(float64, int) (float64, error) { return v, nil }
 }
 
+// serveSupervised replays reqs, in the caller's order, on a one-model,
+// one-tenant FIFO pool shaped by q whose model is driven by sv — the
+// single-model continuous serving loop. It returns the model's trace view
+// and the pool report, which carries per-worker accounting and queue depth.
+func serveSupervised(sv *trace.Supervisor, q trace.QueuePolicy, reqs []trace.Request) (*trace.Report, *fleet.Report, error) {
+	pool, err := fleet.NewPool(fleet.Config{Queue: q, Admission: fleet.FIFO{}},
+		[]fleet.Model{{Name: "m", Supervisor: sv}}, []fleet.TenantSpec{{Name: "all"}})
+	if err != nil {
+		return nil, nil, err
+	}
+	freqs := make([]fleet.Request, len(reqs))
+	for i, r := range reqs {
+		freqs[i] = fleet.Request{Arrival: r.Arrival, Size: r.Size, Deadline: r.Deadline}
+	}
+	fr, err := pool.Serve(freqs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fr.ModelReports[0], fr, nil
+}
+
+// servingUtilization is the serving-only utilization of a pool run: busy
+// time over makespan times workers, excluding background tunes.
+func servingUtilization(m *fleet.Metrics) float64 {
+	var busy float64
+	for _, w := range m.Workers {
+		busy += w.Busy
+	}
+	return busy / (m.Makespan * float64(len(m.Workers)))
+}
+
 // neverDrift pins the detector off.
 func neverDrift([]trace.WindowEntry) (bool, error) { return false, nil }
 
@@ -77,9 +109,10 @@ func noRetune(int, []trace.WindowEntry) (trace.TimedServiceFunc, error) {
 	return nil, errors.New("retuner must not run")
 }
 
-// With the detector pinned off, a supervised run IS a plain Server run: the
-// whole Report — sojourns, outcomes, percentiles, worker stats, histogram —
-// must be deeply equal, and the swap-related fields must stay zero.
+// With the detector pinned off, a supervised run IS a plain Server run:
+// sojourns, outcomes, percentiles, counters, per-worker accounting, queue
+// depth and makespan must match exactly, and the swap-related fields must
+// stay zero.
 func TestSupervisorNoDriftEqualsServer(t *testing.T) {
 	reqs, err := trace.Generate(400, trace.GeneratorConfig{
 		QPS: 2500, MaxBatch: 512, TailProb: 0.05, TailSize: 2560, Seed: 31,
@@ -98,19 +131,37 @@ func TestSupervisorNoDriftEqualsServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sv, err := trace.NewSupervisor(trace.SupervisorConfig{Server: cfg},
-			trace.Untimed(service), neverDrift, noRetune)
+		sv, err := trace.NewSupervisor(trace.SupervisorConfig{}, trace.Untimed(service), neverDrift, noRetune)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sv.Run(reqs)
+		rep, fr, err := serveSupervised(sv, cfg.Queue(), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// No deadline -> nothing sheds -> no NaN sojourns, so DeepEqual is
-		// exact over the full report (NaN would defeat ==).
-		if !reflect.DeepEqual(rep, want) {
-			t.Fatalf("k=%d: supervised no-drift report differs from plain server", k)
+		// exact over the per-request slices (NaN would defeat ==).
+		if !reflect.DeepEqual(rep.Sojourn, want.Sojourn) || !reflect.DeepEqual(rep.Outcomes, want.Outcomes) ||
+			!reflect.DeepEqual(rep.Generations, want.Generations) {
+			t.Fatalf("k=%d: supervised no-drift requests differ from plain server", k)
+		}
+		if rep.Served != want.Served || rep.P50 != want.P50 || rep.P95 != want.P95 || rep.P99 != want.P99 {
+			t.Errorf("k=%d: statistics %+v, want %+v", k, rep.Result, want.Result)
+		}
+		m, wm := rep.Metrics, want.Metrics
+		if m.Served != wm.Served || m.SplitServed != wm.SplitServed || m.Timeouts != wm.Timeouts || m.Shed() != wm.Shed() ||
+			m.Generation != 0 || len(m.Swaps) != 0 || m.TuneBusy != 0 {
+			t.Errorf("k=%d: metrics %s (generation %d, %d swaps), want %s", k, m, m.Generation, len(m.Swaps), wm)
+		}
+		pm := fr.Metrics
+		if pm.MaxQueueDepth != wm.MaxQueueDepth || pm.Makespan != wm.Makespan || !reflect.DeepEqual(pm.Workers, wm.Workers) {
+			t.Errorf("k=%d: pool depth %d makespan %g workers %+v, want %d %g %+v",
+				k, pm.MaxQueueDepth, pm.Makespan, pm.Workers, wm.MaxQueueDepth, wm.Makespan, wm.Workers)
+		}
+		// The pool sums busy time per worker, the server in dispatch order:
+		// equal up to float reassociation.
+		if u := servingUtilization(pm); math.Abs(u-want.Utilization) > 1e-12 {
+			t.Errorf("k=%d: utilization %g, want %g", k, u, want.Utilization)
 		}
 		if g := sv.Live().Current(); g.ID != 0 || g.Swapped != 0 {
 			t.Errorf("k=%d: live generation %d swapped at %g, want pristine generation 0", k, g.ID, g.Swapped)
@@ -149,7 +200,6 @@ func TestSupervisorSwapSemantics(t *testing.T) {
 		return gen1, nil
 	}
 	sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 1},
 		Window:       2,
 		CheckEvery:   1,
 		TuneDuration: 0.5,
@@ -158,7 +208,7 @@ func TestSupervisorSwapSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, fr, err := serveSupervised(sv, trace.QueuePolicy{Workers: 1}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,16 +261,17 @@ func TestSupervisorSwapSemantics(t *testing.T) {
 	// Utilization counts serving only; the tune's 0.5s lives in TuneBusy.
 	busy := 4*1e-3 + 5e-4
 	makespan := 12.0005
-	if math.Abs(m.Makespan-makespan) > 1e-9 {
-		t.Errorf("makespan %g, want %g", m.Makespan, makespan)
+	pm := fr.Metrics
+	if math.Abs(pm.Makespan-makespan) > 1e-9 {
+		t.Errorf("makespan %g, want %g", pm.Makespan, makespan)
 	}
-	if math.Abs(rep.Utilization-busy/makespan) > 1e-9 {
-		t.Errorf("utilization %g, want %g (serving busy only)", rep.Utilization, busy/makespan)
+	if u := servingUtilization(pm); math.Abs(u-busy/makespan) > 1e-9 {
+		t.Errorf("utilization %g, want %g (serving busy only)", u, busy/makespan)
 	}
 	// The tune's occupancy is attributed to the worker slot that held it:
 	// the only worker serves 4.5ms, tunes 0.5s, and reports the split — it
 	// was occupied, not idle, during the tune.
-	ws := m.Workers[0]
+	ws := pm.Workers[0]
 	if ws.TuneBusy != 0.5 {
 		t.Errorf("worker TuneBusy %g, want 0.5", ws.TuneBusy)
 	}
@@ -259,7 +310,6 @@ func TestSupervisorTrailingSwap(t *testing.T) {
 		return constTimed(5e-4), nil
 	}
 	sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 1},
 		Window:       2,
 		CheckEvery:   1,
 		TuneDuration: 100,
@@ -268,7 +318,7 @@ func TestSupervisorTrailingSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, _, err := serveSupervised(sv, trace.QueuePolicy{Workers: 1}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +363,6 @@ func TestSupervisorCooldownAndMaxRetunes(t *testing.T) {
 	}
 	const cooldown = 0.02
 	sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 2},
 		Window:       4,
 		CheckEvery:   2,
 		TuneDuration: 1e-3,
@@ -323,7 +372,7 @@ func TestSupervisorCooldownAndMaxRetunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, _, err := serveSupervised(sv, trace.QueuePolicy{Workers: 2}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +413,7 @@ func TestSupervisorGenerationsMonotoneZeroLostProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func() (*trace.Report, *trace.Metrics) {
+		run := func() (*trace.Report, *trace.Metrics, []trace.WorkerStats) {
 			always := func([]trace.WindowEntry) (bool, error) { return true, nil }
 			retune := func(gen int, _ []trace.WindowEntry) (trace.TimedServiceFunc, error) {
 				perSample := 2e-5 / float64(gen)
@@ -373,7 +422,6 @@ func TestSupervisorGenerationsMonotoneZeroLostProperty(t *testing.T) {
 				}, nil
 			}
 			sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-				Server:       trace.ServerConfig{Workers: 1 + int(seed)%3, SplitCap: 512},
 				Window:       8,
 				CheckEvery:   4,
 				TuneDuration: 1e-3,
@@ -381,13 +429,13 @@ func TestSupervisorGenerationsMonotoneZeroLostProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sv.Run(reqs)
+			rep, fr, err := serveSupervised(sv, trace.QueuePolicy{Workers: 1 + int(seed)%3, SplitCap: 512}, reqs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rep, sv.Metrics()
+			return rep, sv.Metrics(), fr.Metrics.Workers
 		}
-		rep, met := run()
+		rep, met, workers := run()
 
 		// trace.Generate emits arrival order, so caller order is arrival order.
 		for i := 1; i < len(rep.Generations); i++ {
@@ -422,7 +470,7 @@ func TestSupervisorGenerationsMonotoneZeroLostProperty(t *testing.T) {
 			t.Errorf("seed %d: TuneBusy %g, want %g", seed, met.TuneBusy, want)
 		}
 		var workerTune float64
-		for _, w := range met.Workers {
+		for _, w := range workers {
 			workerTune += w.TuneBusy
 		}
 		if math.Abs(workerTune-met.TuneBusy) > 1e-9 {
@@ -432,12 +480,15 @@ func TestSupervisorGenerationsMonotoneZeroLostProperty(t *testing.T) {
 
 		// Determinism: a fresh supervisor over the same inputs reproduces the
 		// run bit for bit.
-		rep2, met2 := run()
+		rep2, met2, workers2 := run()
 		if !reportsEqual(rep, rep2) {
 			t.Errorf("seed %d: repeated run produced a different report", seed)
 		}
 		if !metricsEqual(met, met2) {
 			t.Errorf("seed %d: repeated run produced different metrics", seed)
+		}
+		if !reflect.DeepEqual(workers, workers2) {
+			t.Errorf("seed %d: repeated run produced different worker accounting", seed)
 		}
 	}
 }
@@ -461,7 +512,6 @@ func TestSupervisorErrors(t *testing.T) {
 		{TuneDuration: -1},
 		{Cooldown: -1},
 		{MaxRetunes: -1},
-		{Server: trace.ServerConfig{Workers: -2}},
 	} {
 		if _, err := trace.NewSupervisor(bad, ok, okDetect, okRetune); err == nil {
 			t.Errorf("config %+v accepted", bad)
@@ -471,11 +521,12 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.Run(nil); err == nil {
+	one := trace.QueuePolicy{}
+	if _, _, err := serveSupervised(sv, one, nil); err == nil {
 		t.Error("empty stream accepted")
 	}
 	if sv.Metrics() != nil {
-		t.Error("metrics snapshot before first Run should be nil")
+		t.Error("metrics snapshot before the first run should be nil")
 	}
 
 	steady := make([]trace.Request, 64)
@@ -488,7 +539,7 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := failDetect.Run(steady); !errors.Is(err, boom) {
+	if _, _, err := serveSupervised(failDetect, one, steady); !errors.Is(err, boom) {
 		t.Errorf("detector error not propagated: %v", err)
 	}
 	tuneErr := errors.New("tuner exploded")
@@ -498,7 +549,7 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := failRetune.Run(steady); !errors.Is(err, tuneErr) {
+	if _, _, err := serveSupervised(failRetune, one, steady); !errors.Is(err, tuneErr) {
 		t.Errorf("retuner error not propagated: %v", err)
 	}
 	nilSvc, err := trace.NewSupervisor(trace.SupervisorConfig{Window: 4}, ok, always,
@@ -506,7 +557,7 @@ func TestSupervisorErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nilSvc.Run(steady); err == nil || !strings.Contains(err.Error(), "nil service") {
+	if _, _, err := serveSupervised(nilSvc, one, steady); err == nil || !strings.Contains(err.Error(), "nil service") {
 		t.Errorf("nil re-tuned service accepted: %v", err)
 	}
 }
@@ -568,7 +619,7 @@ func TestLiveSetHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// The full loop under concurrent observation: Run hot-swaps repeatedly while
+// The full loop under concurrent observation: a run hot-swaps repeatedly while
 // observer goroutines read the published live set. Run with -race. After the
 // run, every request must be accounted for and the observers must have seen
 // only monotone generations.
@@ -582,7 +633,6 @@ func TestSupervisorHotSwapUnderLoad(t *testing.T) {
 		return constTimed(1e-5 * float64(1+gen%3)), nil
 	}
 	sv, err := trace.NewSupervisor(trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 2},
 		Window:       4,
 		CheckEvery:   2,
 		TuneDuration: 1e-4,
@@ -617,7 +667,7 @@ func TestSupervisorHotSwapUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	rep, err := sv.Run(reqs)
+	rep, _, err := serveSupervised(sv, trace.QueuePolicy{Workers: 2}, reqs)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -706,6 +756,9 @@ func canaryTrace(factor float64, cfg trace.SupervisorConfig) (*trace.Supervisor,
 	return sv, reqs, err
 }
 
+// canaryQueue is the two-worker pool the canary tests serve on.
+var canaryQueue = trace.QueuePolicy{Workers: 2}
+
 // meanSojournByGen averages the served sojourns stamped with each generation.
 func meanSojournByGen(rep *trace.Report) map[int]float64 {
 	sums := map[int]float64{}
@@ -729,7 +782,6 @@ func meanSojournByGen(rep *trace.Report) map[int]float64 {
 // level — all under exact deterministic replay.
 func TestSupervisorCanaryRollbackEndToEnd(t *testing.T) {
 	cfg := trace.SupervisorConfig{
-		Server:         trace.ServerConfig{Workers: 2},
 		Window:         4,
 		CheckEvery:     2,
 		TuneDuration:   0.03,
@@ -742,7 +794,7 @@ func TestSupervisorCanaryRollbackEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sv.Run(reqs)
+		rep, _, err := serveSupervised(sv, canaryQueue, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -835,7 +887,6 @@ func TestSupervisorCanaryRollbackEndToEnd(t *testing.T) {
 // no rollback happens, and serving stays on the promoted generation.
 func TestSupervisorCanaryConfirmsGoodSwap(t *testing.T) {
 	cfg := trace.SupervisorConfig{
-		Server:         trace.ServerConfig{Workers: 2},
 		Window:         4,
 		CheckEvery:     2,
 		TuneDuration:   0.03,
@@ -847,7 +898,7 @@ func TestSupervisorCanaryConfirmsGoodSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, _, err := serveSupervised(sv, canaryQueue, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -872,7 +923,6 @@ func TestSupervisorCanaryConfirmsGoodSwap(t *testing.T) {
 // the virtual clock and still rolls a poisoned promotion back.
 func TestSupervisorCanaryDurationCloses(t *testing.T) {
 	cfg := trace.SupervisorConfig{
-		Server:         trace.ServerConfig{Workers: 2},
 		Window:         4,
 		CheckEvery:     2,
 		TuneDuration:   0.03,
@@ -884,7 +934,7 @@ func TestSupervisorCanaryDurationCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, _, err := serveSupervised(sv, canaryQueue, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -904,7 +954,6 @@ func TestSupervisorCanaryDurationCloses(t *testing.T) {
 // stay zero.
 func TestSupervisorCanaryOpenAtTraceEnd(t *testing.T) {
 	cfg := trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 2},
 		Window:       4,
 		CheckEvery:   2,
 		TuneDuration: 0.03,
@@ -915,7 +964,7 @@ func TestSupervisorCanaryOpenAtTraceEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, _, err := serveSupervised(sv, canaryQueue, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -936,7 +985,6 @@ func TestSupervisorCanaryOpenAtTraceEnd(t *testing.T) {
 // MaxRetunes), and generation ids keep climbing monotonically.
 func TestSupervisorRetuneAfterRollback(t *testing.T) {
 	cfg := trace.SupervisorConfig{
-		Server:         trace.ServerConfig{Workers: 2},
 		Window:         4,
 		CheckEvery:     2,
 		TuneDuration:   0.03,
@@ -967,7 +1015,7 @@ func TestSupervisorRetuneAfterRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sv.Run(reqs)
+	rep, _, err := serveSupervised(sv, canaryQueue, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -995,8 +1043,8 @@ func TestSupervisorRetuneAfterRollback(t *testing.T) {
 	}
 }
 
-// Concurrent Run calls on one Supervisor are serialized on the shared
-// LiveSet: run with -race. Two overlapping runs must produce exactly the
+// Concurrent runs of one Supervisor (each on its own pool) are serialized on
+// the shared LiveSet: run with -race. Two overlapping runs must produce exactly the
 // reports a sequential run produces, observers must never see a generation
 // regress, and the live set must end at the sum of both runs' swaps.
 func TestSupervisorConcurrentRunsHotSwapUnderLoad(t *testing.T) {
@@ -1009,7 +1057,6 @@ func TestSupervisorConcurrentRunsHotSwapUnderLoad(t *testing.T) {
 		return constTimed(1e-5 * float64(1+gen%3)), nil
 	}
 	cfg := trace.SupervisorConfig{
-		Server:       trace.ServerConfig{Workers: 2},
 		Window:       4,
 		CheckEvery:   2,
 		TuneDuration: 1e-4,
@@ -1019,7 +1066,7 @@ func TestSupervisorConcurrentRunsHotSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Run(reqs)
+	want, _, err := serveSupervised(ref, canaryQueue, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1061,7 +1108,7 @@ func TestSupervisorConcurrentRunsHotSwapUnderLoad(t *testing.T) {
 		runs.Add(1)
 		go func(i int) {
 			defer runs.Done()
-			reports[i], errs[i] = sv.Run(reqs)
+			reports[i], _, errs[i] = serveSupervised(sv, canaryQueue, reqs)
 		}(i)
 	}
 	runs.Wait()
